@@ -51,7 +51,7 @@ double broadcast_once(std::uint64_t m, const Week& week, std::size_t index) {
                           cluster.id(0));
   cluster.node(0).broadcast_push(doc).expect("push");
   cluster.net().run();
-  return cluster.net().now().as_seconds();
+  return cluster.last_delivery().as_seconds();
 }
 
 }  // namespace

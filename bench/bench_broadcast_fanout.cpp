@@ -43,16 +43,9 @@ RunResult run_broadcast(std::size_t n, std::uint64_t m, std::uint64_t lecture_by
   cluster.node(0).broadcast_push(doc).expect("push");
   cluster.net().run();
   RunResult out;
-  // Swarm gossip idles on for a few rounds after the last delivery, so
-  // makespan is the slowest station's delivery time, not net.now().
-  if (strategy == Strategy::swarm) {
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-      out.makespan_s =
-          std::max(out.makespan_s, cluster.node(i).last_delivery().as_seconds());
-    }
-  } else {
-    out.makespan_s = cluster.net().now().as_seconds();
-  }
+  // Chunked-push gossip idles on for a few rounds after the last delivery,
+  // so makespan is the slowest station's delivery time, not net.now().
+  out.makespan_s = cluster.last_delivery().as_seconds();
   out.root_mb = static_cast<double>(cluster.net().stats(cluster.id(0)).bytes_sent) / 1e6;
   out.depth = dist::tree_depth(n, m);
   out.complete = cluster.count_materialized(doc.doc_key) == n;

@@ -45,8 +45,8 @@ PlaybackResult play_on_demand(SimCluster& cluster, const dist::DocManifest& doc,
     net.schedule_at(issue_time, [&, i] {
       cluster.node(student)
           .fetch_blob(cluster.id(0), doc.doc_key, doc.blobs[i],
-                      [&, i](Status s, SimTime at) {
-                        if (s.is_ok()) {
+                      [&, i](Result<dist::BlobRef> r, SimTime at) {
+                        if (r.is_ok()) {
                           arrival[i] = at;
                           arrived[i] = true;
                         }
@@ -86,7 +86,7 @@ int run_scale_smoke(std::size_t n) {
   cluster.net().run();
   const std::size_t delivered = cluster.count_materialized(doc.doc_key);
   std::printf("delivered %zu/%zu, sim makespan %.2f s\n", delivered, n,
-              cluster.net().now().as_seconds());
+              cluster.last_delivery().as_seconds());
   std::printf("payload copies: %llu (%llu bytes)\n",
               static_cast<unsigned long long>(net::Payload::copies_total()),
               static_cast<unsigned long long>(net::Payload::bytes_copied_total()));
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
       auto doc = make_lecture("http://mmu.edu/lec", (blob_mb * 15) << 20, cluster.id(0), 15);
       cluster.node(0).broadcast_push(doc).expect("push");
       cluster.net().run();
-      double preload_s = cluster.net().now().as_seconds();
+      double preload_s = cluster.last_delivery().as_seconds();
       bool local = cluster.store(kStudent).has_materialized(doc.doc_key);
       // All deadlines met from the local copy: zero stalls by construction;
       // report the preload cost as context.
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
       auto doc = make_lecture("http://mmu.edu/lec", (blob_mb * 15) << 20, cluster.id(0), 15);
       cluster.node(0).broadcast_push_store_forward(doc).expect("push");
       cluster.net().run();
-      double preload_s = cluster.net().now().as_seconds();
+      double preload_s = cluster.last_delivery().as_seconds();
       bool local = cluster.store(kStudent).has_materialized(doc.doc_key);
       std::printf("  %-22s %12.2f %8d %14.2f   (preload took %.1f s before class)\n",
                   "pre-broadcast (s&f)", 0.0, local ? 0 : 15, 0.0, preload_s);
@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
       auto doc = make_lecture("http://mmu.edu/lec", 150ull << 20, cluster.id(0), 15);
       cluster.node(0).broadcast_push(doc).expect("push");
       cluster.net().run();
-      chunked_s = cluster.net().now().as_seconds();
+      chunked_s = cluster.last_delivery().as_seconds();
       if (!cluster.store(student).has_materialized(doc.doc_key)) stalls = -1;
     }
     {
@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
       auto doc = make_lecture("http://mmu.edu/lec", 150ull << 20, cluster.id(0), 15);
       cluster.node(0).broadcast_push_store_forward(doc).expect("push");
       cluster.net().run();
-      sf_s = cluster.net().now().as_seconds();
+      sf_s = cluster.last_delivery().as_seconds();
     }
     {
       SimCluster cluster(n, 2, kCampusLink);

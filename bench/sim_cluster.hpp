@@ -3,6 +3,7 @@
 // wired into the paper's m-ary tree.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -68,7 +69,7 @@ class MetricsDump {
 class SimCluster {
  public:
   SimCluster(std::size_t n, std::uint64_t m, const net::StationLink& link,
-             dist::NodeConfig config = {}, std::uint64_t seed = 42)
+             dist::StationConfig config = {}, std::uint64_t seed = 42)
       : net_(seed) {
     net_.reserve_stations(n);
     ids_.reserve(n);
@@ -110,6 +111,14 @@ class SimCluster {
       (void)blobs_[i]->gc();
     }
     net_.reset_stats();
+  }
+
+  // A broadcast's makespan: the latest station delivery. Unlike the
+  // fabric's quiescence time it excludes the gossip tail after delivery.
+  [[nodiscard]] SimTime last_delivery() const {
+    SimTime out = SimTime::zero();
+    for (const auto& node : nodes_) out = std::max(out, node->last_delivery());
+    return out;
   }
 
   [[nodiscard]] std::size_t count_materialized(const std::string& doc_key) const {

@@ -284,8 +284,9 @@ int main(int argc, char** argv) {
   int scrape_attempts = 0;
   while (!scraped && scrape_attempts < 64) {
     admin
-        .scrape_cluster([&](obs::Snapshot snap, SimTime) {
-          cluster = std::move(snap);
+        .scrape_cluster([&](Result<obs::Snapshot> r, SimTime) {
+          if (!r.is_ok()) return;
+          cluster = std::move(r).value();
           scraped = true;
         })
         .expect("scrape");

@@ -1,7 +1,9 @@
 #include "dist/station_node.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <optional>
 
 #include "blob/chunk.hpp"
 #include "common/hash.hpp"
@@ -30,9 +32,7 @@ struct DistMetrics {
   obs::Counter& scrape_partials;
   obs::Counter& chunk_sent;
   obs::Counter& chunk_bytes;
-  obs::Counter& chunk_duplicates;
   obs::Counter& chunk_rejects;
-  obs::Counter& chunk_retransmits;
   obs::Counter& chunk_orphans;
   obs::Counter& chunk_repair_reqs;
   obs::Counter& chunk_repair_served;
@@ -45,6 +45,7 @@ struct DistMetrics {
   obs::Counter& swarm_served;
   obs::Counter& swarm_suppressed;
   obs::Counter& swarm_orphans;
+  obs::Counter& swarm_retired_served;
 
   static DistMetrics& get() {
     static DistMetrics* m = [] {
@@ -56,21 +57,20 @@ struct DistMetrics {
           reg.counter("dist.blob_serves"),    reg.counter("dist.failovers"),
           reg.counter("dist.resurrections"),  reg.counter("dist.scrape_partials"),
           reg.counter("dist.chunk.sent"),     reg.counter("dist.chunk.bytes_sent"),
-          reg.counter("dist.chunk.duplicates"), reg.counter("dist.chunk.rejects"),
-          reg.counter("dist.chunk.retransmits"), reg.counter("dist.chunk.orphaned"),
+          reg.counter("dist.chunk.rejects"),  reg.counter("dist.chunk.orphaned"),
           reg.counter("dist.chunk.repair_reqs"), reg.counter("dist.chunk.repair_served"),
           reg.counter("dist.chunk.duplicate_rx"), reg.counter("dist.chunk.wasted_bytes"),
           reg.counter("swarm.begins"),        reg.counter("swarm.haves"),
           reg.counter("swarm.reqs"),          reg.counter("swarm.req_chunks"),
           reg.counter("swarm.served"),        reg.counter("swarm.relay_suppressed"),
-          reg.counter("swarm.orphans"),
+          reg.counter("swarm.orphans"),       reg.counter("swarm.retired_served"),
       };
     }();
     return *m;
   }
 };
 
-// Packs (blob ordinal, chunk index) into the cursor queues' chunk key.
+// Packs (blob ordinal, chunk index) into the send queues' chunk key.
 [[nodiscard]] constexpr std::uint64_t chunk_key(std::uint32_t ordinal, std::uint32_t index) {
   return (static_cast<std::uint64_t>(ordinal) << 32) | index;
 }
@@ -79,6 +79,17 @@ struct DistMetrics {
 }
 [[nodiscard]] constexpr std::uint32_t key_index(std::uint64_t key) {
   return static_cast<std::uint32_t>(key & 0xffffffffu);
+}
+// Global chunk index g of a transfer -> its chunk key, through the
+// transfer's prefix table; zero-chunk blobs make prefix values repeat, so
+// take the last blob whose base covers g. nullopt past the last blob.
+[[nodiscard]] std::optional<std::uint64_t> global_chunk_key(
+    const std::vector<std::uint32_t>& prefix, std::size_t blobs, std::uint32_t g) {
+  auto ub = std::upper_bound(prefix.begin(), prefix.end(), g);
+  if (ub == prefix.begin()) return std::nullopt;
+  const auto ordinal = static_cast<std::uint32_t>(ub - prefix.begin()) - 1;
+  if (ordinal >= blobs) return std::nullopt;
+  return chunk_key(ordinal, g - prefix[ordinal]);
 }
 
 // fetch_req payload: req_id, doc_key, path of station ids walked so far
@@ -257,7 +268,6 @@ Status ChunkConfig::validate() const {
     return {Errc::invalid_argument,
             "chunk_bytes must be in [1, " + std::to_string(blob::kMaxChunkBytes) + "]"};
   }
-  if (window == 0) return {Errc::invalid_argument, "chunk window must be >= 1"};
   if (repair_batch == 0) return {Errc::invalid_argument, "repair_batch must be >= 1"};
   return Status::ok();
 }
@@ -405,8 +415,7 @@ Status StationNode::broadcast_push(const DocManifest& manifest) {
     WDOC_TRY(store_->put_instance(manifest, /*ephemeral=*/false));
   }
   if (!config_.chunk.enabled) return broadcast_push_store_forward(manifest);
-  if (config_.swarm.enabled) return start_swarm_push(manifest);
-  return start_chunked_push(manifest);
+  return start_stripe_push(manifest);
 }
 
 Status StationNode::broadcast_push_store_forward(const DocManifest& manifest) {
@@ -431,13 +440,16 @@ Status StationNode::broadcast_push_store_forward(const DocManifest& manifest) {
 
 // --- chunked push ------------------------------------------------------------
 
-Status StationNode::start_chunked_push(const DocManifest& manifest) {
+Status StationNode::start_stripe_push(const DocManifest& manifest) {
   std::uint64_t transfer_id = (self_.value() << 24) | ++next_req_;
   Transfer t;
   t.manifest = manifest;
   t.chunk_bytes = config_.chunk.chunk_bytes;
   for (const BlobRef& b : manifest.blobs) {
     t.total_chunks += blob::chunk_count(b.size, t.chunk_bytes);
+  }
+  if (t.total_chunks > net::kMaxWireChunks) {
+    return {Errc::invalid_argument, "transfer too large for a chunked push"};
   }
   t.delivered = true;  // the instructor holds the persistent instance
   last_delivery_ = fabric_->now();
@@ -446,136 +458,152 @@ Status StationNode::start_chunked_push(const DocManifest& manifest) {
                                        fabric_->now(), self_.value(), t.trace_id);
   auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
   WDOC_CHECK(inserted, "duplicate transfer id");
-  open_transfer_children(transfer_id, it->second);
+  init_stripes(transfer_id, it->second,
+               config_.swarm.enabled ? config_.swarm.trees : 1);
+  open_stripe_children(transfer_id, it->second);
   maybe_retire_transfer(transfer_id);
   return Status::ok();
 }
 
-void StationNode::open_transfer_children(std::uint64_t transfer_id, Transfer& t) {
+void StationNode::init_stripes(std::uint64_t transfer_id, Transfer& t,
+                               std::uint32_t trees) {
+  swarm::SwarmConfig cfg = config_.swarm;
+  cfg.trees = std::clamp<std::uint32_t>(trees, 1, net::kMaxWireTrees);
+  t.stripe_trees = cfg.trees;
+  // The stall gate and request timeouts are set for chunk-times of a
+  // fraction of a second (256 KB at 10 Mb/s). A healthy parent feeds each
+  // child a chunk only every m chunk-times of its uplink, so on slower
+  // links the gate would mistake the normal cadence for a stall and start
+  // pull storms: stretch all three timeouts to keep 4 feed intervals of
+  // margin.
+  const double feed_s = static_cast<double>(m_) * uplink_time(t.chunk_bytes).as_seconds();
+  const double stretch = 4.0 * feed_s / cfg.stall_timeout.as_seconds();
+  if (stretch > 1.0) {
+    t.round_stretch = static_cast<std::uint32_t>(std::ceil(stretch));
+    cfg.stall_timeout = SimTime::seconds(cfg.stall_timeout.as_seconds() * stretch);
+    cfg.startup_grace = SimTime::seconds(cfg.startup_grace.as_seconds() * stretch);
+    cfg.request_timeout = SimTime::seconds(cfg.request_timeout.as_seconds() * stretch);
+  }
+  t.chunk_prefix.assign(1, 0);
+  for (const BlobRef& b : t.manifest.blobs) {
+    t.chunk_prefix.push_back(t.chunk_prefix.back() +
+                             blob::chunk_count(b.size, t.chunk_bytes));
+  }
+  const std::uint64_t n = tree_order().size();
+  const std::uint32_t total = static_cast<std::uint32_t>(t.total_chunks);
+  // The tie-break seed is per-station (different stations spread their
+  // pulls differently); the neighbor seed is the transfer id, which every
+  // station knows, so both ends of a tree link derive the same sets.
+  t.sched = std::make_unique<swarm::SwarmScheduler>(
+      total, cfg, hash_combine(self_.value(), transfer_id), fabric_->now());
+  t.acting_parent.assign(t.stripe_trees, 0);
+  t.acting_since.assign(t.stripe_trees, fabric_->now());
+  for (std::uint32_t tree = 0; tree < t.stripe_trees; ++tree) {
+    auto p = swarm::stripe_parent(position_, tree, t.stripe_trees, m_, n);
+    t.sched->set_stripe_parent(tree, p.value_or(0));
+    t.acting_parent[tree] = p.value_or(0);
+  }
+  for (std::uint64_t nb : swarm::gossip_neighbors(position_, m_, n, t.stripe_trees,
+                                                  config_.swarm.extra_peers, transfer_id)) {
+    t.sched->add_peer(nb);
+  }
+  // Seed our own bitmap from whatever the blob store already holds
+  // (everything at the instructor; possibly shared blobs elsewhere).
+  std::vector<std::uint64_t> words((total + 63) / 64, 0);
+  const auto& bs = store_->blobs();
+  for (std::uint32_t ordinal = 0; ordinal < t.manifest.blobs.size(); ++ordinal) {
+    const BlobRef& b = t.manifest.blobs[ordinal];
+    bs.chunk_bits(b.digest, b.size, t.chunk_bytes, t.chunk_prefix[ordinal], words);
+  }
+  swarm::Bitmap have;
+  have.assign_words(std::move(words), total);
+  t.sched->seed_self(have, fabric_->now());
+  schedule_gossip_tick(transfer_id);
+}
+
+void StationNode::open_stripe_children(std::uint64_t transfer_id, Transfer& t) {
   if (position_ == 0) return;
-  net::ChunkBegin begin;
+  const std::uint64_t n = tree_order().size();
+  // One refcounted begin shared by every stripe child; a station that is
+  // our child in several trees gets one begin but one StripeChild per tree.
+  const net::Payload payload = begin_payload(transfer_id, t);
+  std::set<std::uint64_t> announced;
+  // Per child edge, the locally-held chunks of its tree in (blob, index)
+  // order, skipping any the child has already reported owning.
+  std::vector<std::deque<std::uint64_t>> held;
+  auto& bs = store_->blobs();
+  for (std::uint32_t tree = 0; tree < t.stripe_trees; ++tree) {
+    for (std::uint64_t child_pos :
+         swarm::stripe_children(position_, tree, t.stripe_trees, m_, n)) {
+      if (child_pos < 1 || child_pos > n || child_pos == position_) continue;
+      StationId cid = tree_order()[child_pos - 1];
+      if (announced.insert(child_pos).second) {
+        send_begin(cid, payload, t);
+        ++stats_.pushes_forwarded;
+      }
+      t.children.push_back({cid, tree, child_pos});
+      std::deque<std::uint64_t>& pending = held.emplace_back();
+      for (std::uint32_t ordinal = 0; ordinal < t.manifest.blobs.size(); ++ordinal) {
+        const BlobRef& b = t.manifest.blobs[ordinal];
+        const std::uint32_t total = blob::chunk_count(b.size, t.chunk_bytes);
+        for (std::uint32_t i = 0; i < total; ++i) {
+          const std::uint32_t g = t.chunk_prefix[ordinal] + i;
+          if (swarm::stripe_of(g, t.stripe_trees) != tree) continue;
+          if (t.sched->peer_has(child_pos, g)) {
+            ++stats_.swarm_relay_suppressed;
+            DistMetrics::get().swarm_suppressed.inc();
+            continue;
+          }
+          if (bs.has_chunk(b.digest, i, t.chunk_bytes)) {
+            pending.push_back(chunk_key(ordinal, i));
+          }
+        }
+      }
+    }
+  }
+  // Drain the held chunks round-robin into the paced send queue, so the
+  // uplink interleaves children (and stripe trees) fairly — a sequential
+  // drain would delay one whole subtree by the other's backlog.
+  bool more = true;
+  while (more) {
+    more = false;
+    for (std::size_t c = 0; c < held.size(); ++c) {
+      if (held[c].empty()) continue;
+      const StripeChild& child = t.children[c];
+      enqueue_send(transfer_id, t, {child.id, child.pos, held[c].front(), false});
+      held[c].pop_front();
+      more = true;
+    }
+  }
+}
+
+net::Payload StationNode::begin_payload(std::uint64_t transfer_id, const Transfer& t) const {
+  net::SwarmBegin begin;
   begin.transfer_id = transfer_id;
   begin.chunk_bytes = t.chunk_bytes;
+  begin.trees = t.stripe_trees;
   Writer w;
   t.manifest.serialize(w);
   begin.manifest = w.take();
-  // One refcounted buffer shared by every child's begin: m children bump a
-  // refcount instead of copying the manifest m times.
-  const net::Payload payload{begin.encode()};
-  for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
-    StationId cid = tree_order()[child - 1];
-    net::Message out;
-    out.from = self_;
-    out.to = cid;
-    out.type = kChunkBegin;
-    out.payload = payload;
-    // The begin carries the structure (the small copied objects) plus the
-    // manifest itself; blob bytes are charged chunk by chunk.
-    out.wire_size = t.manifest.structure_bytes + payload.size();
-    out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-    DistMetrics::get().pushes.inc();
-    Status s = fabric_->send(std::move(out));
-    if (!s.is_ok()) continue;
-    ++stats_.pushes_forwarded;
-    ChildCursor cursor;
-    cursor.child = cid;
-    t.children.push_back(std::move(cursor));
-    enqueue_held_chunks(t, t.children.back());
-  }
-  for (ChildCursor& cursor : t.children) pump_cursor(transfer_id, cursor);
+  return net::Payload{begin.encode()};
 }
 
-void StationNode::enqueue_held_chunks(Transfer& t, ChildCursor& cursor) {
-  auto& bs = store_->blobs();
-  for (std::uint32_t ordinal = 0; ordinal < t.manifest.blobs.size(); ++ordinal) {
-    const BlobRef& b = t.manifest.blobs[ordinal];
-    const std::uint32_t total = blob::chunk_count(b.size, t.chunk_bytes);
-    for (std::uint32_t i = 0; i < total; ++i) {
-      if (t.swarm) {
-        // A stripe cursor carries only its own tree's chunks, and skips
-        // any the child has already reported owning.
-        const std::uint32_t g = t.chunk_prefix[ordinal] + i;
-        if (swarm::stripe_of(g, t.stripe_trees) != cursor.tree) continue;
-        if (t.sched && cursor.child_pos != 0 && t.sched->peer_has(cursor.child_pos, g)) {
-          ++stats_.swarm_relay_suppressed;
-          DistMetrics::get().swarm_suppressed.inc();
-          continue;
-        }
-      }
-      if (bs.has_chunk(b.digest, i, t.chunk_bytes)) {
-        cursor.pending.push_back(chunk_key(ordinal, i));
-      }
-    }
-  }
-}
-
-void StationNode::pump_cursor(std::uint64_t transfer_id, ChildCursor& cursor) {
-  auto it = transfers_.find(transfer_id);
-  if (it == transfers_.end()) return;
-  Transfer& t = it->second;
-  if (dead_.contains(cursor.child)) {
-    // Stop feeding a declared-dead child; its reparented subtree recovers
-    // the tail through chunk-level repair instead.
-    cursor.pending.clear();
-    return;
-  }
-  while (!cursor.pending.empty() && cursor.in_flight.size() < config_.chunk.window) {
-    const std::uint64_t key = cursor.pending.front();
-    cursor.pending.pop_front();
-    const std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
-    const StationId child = cursor.child;
-    rpc_target_[req_id] = child;
-    net::RpcOptions opts = config_.rpc;
-    // A chunk may legitimately wait behind every other in-flight chunk of
-    // this transfer on the shared uplink before its ack can even start back
-    // (the windows of ALL children serialize through one link — a star
-    // parent queues children × window chunks); scale the per-attempt
-    // deadline by that worst-case backlog on the slowest modeled link.
-    opts.deadline += SimTime::seconds(
-        static_cast<double>(t.children.size()) *
-        static_cast<double>(config_.chunk.window) *
-        static_cast<double>(t.chunk_bytes) * 8.0 / config_.min_bandwidth_bps);
-    rpc_.track<std::uint64_t>(
-        req_id, opts,
-        [this, transfer_id, child, key, req_id](Result<std::uint64_t>, SimTime) {
-          // Acked or given up: either way the window slot frees. A lost
-          // chunk is not re-pushed past its retry budget — the child's
-          // chunk-level repair re-pulls exactly the missing indices.
-          rpc_target_.erase(req_id);
-          auto ti = transfers_.find(transfer_id);
-          if (ti == transfers_.end()) return;
-          for (ChildCursor& c : ti->second.children) {
-            if (c.child != child) continue;
-            c.in_flight.erase(key);
-            pump_cursor(transfer_id, c);
-            break;
-          }
-          maybe_retire_transfer(transfer_id);
-        },
-        [this, transfer_id, child, key, req_id](std::uint32_t) {
-          if (dead_.contains(child)) {
-            return Status{Errc::unreachable, "child declared dead"};
-          }
-          auto ti = transfers_.find(transfer_id);
-          if (ti == transfers_.end()) {
-            return Status{Errc::unavailable, "transfer retired"};
-          }
-          return send_chunk(transfer_id, ti->second, child, key, req_id,
-                            /*retransmit=*/true);
-        });
-    Status s = send_chunk(transfer_id, t, child, key, req_id, /*retransmit=*/false);
-    if (!s.is_ok()) {
-      rpc_.cancel(req_id);
-      rpc_target_.erase(req_id);
-      continue;
-    }
-    cursor.in_flight.emplace(key, req_id);
-  }
+void StationNode::send_begin(StationId to, const net::Payload& payload, const Transfer& t) {
+  net::Message out;
+  out.from = self_;
+  out.to = to;
+  out.type = kSwarmBegin;
+  out.payload = payload;
+  // The begin carries the structure (the small copied objects) plus the
+  // manifest itself; blob bytes are charged chunk by chunk.
+  out.wire_size = t.manifest.structure_bytes + payload.size();
+  out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
+  DistMetrics::get().swarm_begins.inc();
+  (void)fabric_->send(std::move(out));
 }
 
 Status StationNode::send_chunk(std::uint64_t transfer_id, const Transfer& t,
-                               StationId child, std::uint64_t key,
-                               std::uint64_t req_id, bool retransmit) {
+                               StationId to, std::uint64_t key) {
   const std::uint32_t ordinal = key_ordinal(key);
   const std::uint32_t index = key_index(key);
   if (ordinal >= t.manifest.blobs.size()) {
@@ -585,7 +613,6 @@ Status StationNode::send_chunk(std::uint64_t transfer_id, const Transfer& t,
   auto payload = store_->blobs().chunk_payload(b.digest, index, t.chunk_bytes);
   if (!payload) return payload.status();
   net::ChunkData d;
-  d.req_id = req_id;
   d.transfer_id = transfer_id;
   d.digest = b.digest;
   d.index = index;
@@ -597,7 +624,7 @@ Status StationNode::send_chunk(std::uint64_t transfer_id, const Transfer& t,
   if (d.has_payload) d.payload = std::move(payload).value();
   net::Message out;
   out.from = self_;
-  out.to = child;
+  out.to = to;
   out.type = kChunkData;
   out.payload = d.encode();  // the small per-hop header
   // The chunk bytes ride out-of-band: the slice from the blob store is
@@ -610,10 +637,6 @@ Status StationNode::send_chunk(std::uint64_t transfer_id, const Transfer& t,
   auto& dm = DistMetrics::get();
   dm.chunk_sent.inc();
   dm.chunk_bytes.inc(d.chunk_len);
-  if (retransmit) {
-    ++stats_.chunk_retransmits;
-    dm.chunk_retransmits.inc();
-  }
   return fabric_->send(std::move(out));
 }
 
@@ -643,60 +666,20 @@ void StationNode::deliver_transfer(std::uint64_t transfer_id) {
 void StationNode::maybe_retire_transfer(std::uint64_t transfer_id) {
   auto it = transfers_.find(transfer_id);
   if (it == transfers_.end()) return;
-  const Transfer& t = it->second;
-  if (!t.delivered) return;
-  // A swarm transfer stays alive while its gossip loop runs — it may still
-  // be serving chunks to (or pulling them for) incomplete neighbors.
-  if (t.swarm && !t.gossip_done) return;
-  if (t.swarm && !(t.swarm_queue.empty() && t.swarm_serve_queue.empty())) return;
-  for (const ChildCursor& c : t.children) {
-    if (!c.pending.empty() || !c.in_flight.empty()) return;
-  }
+  Transfer& t = it->second;
+  // A transfer stays alive while its gossip loop runs — it may still be
+  // serving chunks to (or pulling them for) incomplete neighbors.
+  if (!t.delivered || !t.gossip_done) return;
+  if (!(t.relay_queue.empty() && t.serve_queue.empty())) return;
   if (t.gossip_timer) t.gossip_timer->store(true);
   if (t.pace_timer) t.pace_timer->store(true);
   obs::Tracer::global().end(t.span, fabric_->now());
+  // Keep the geometry for late requesters; the live-transfer state goes.
+  t.sched.reset();
+  t.children.clear();
+  retired_.emplace_back(transfer_id, std::move(t));
+  if (retired_.size() > kRetiredTransfers) retired_.pop_front();
   transfers_.erase(it);
-}
-
-void StationNode::on_chunk_begin(const net::Message& msg) {
-  auto begin = net::ChunkBegin::decode(msg.payload);
-  if (!begin) {
-    WDOC_ERROR("chunk begin decode failed: %s", begin.message().c_str());
-    return;
-  }
-  Reader mr(begin.value().manifest);
-  auto manifest = DocManifest::deserialize(mr);
-  if (!manifest) {
-    WDOC_ERROR("chunk begin manifest decode failed: %s", manifest.message().c_str());
-    return;
-  }
-  ++stats_.pushes_received;
-  const std::uint64_t transfer_id = begin.value().transfer_id;
-  if (transfers_.contains(transfer_id)) return;  // duplicate begin
-  const DocManifest& m = manifest.value();
-  Transfer t;
-  t.manifest = m;
-  t.chunk_bytes = begin.value().chunk_bytes;
-  for (const BlobRef& b : m.blobs) {
-    t.total_chunks += blob::chunk_count(b.size, t.chunk_bytes);
-  }
-  t.trace_id = msg.trace.trace_id;
-  t.trace_sampled = msg.trace.sampled;
-  t.span = obs::Tracer::global().begin("dist.push.hop " + m.doc_key, msg.trace.span_id,
-                                       fabric_->now(), self_.value(), t.trace_id);
-  // Mirror entry first, so even a transfer that loses its tail leaves the
-  // routing information chunk-level repair needs.
-  if (store_->doc(m.doc_key) == nullptr) (void)store_->put_reference(m);
-  auto& bs = store_->blobs();
-  for (const BlobRef& b : m.blobs) {
-    if (bs.find(b.digest).has_value() || b.size == 0) continue;
-    (void)bs.begin_partial(b.digest, b.size, b.type, t.chunk_bytes);
-  }
-  auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
-  WDOC_CHECK(inserted, "duplicate transfer id");
-  open_transfer_children(transfer_id, it->second);
-  if (transfer_blobs_complete(it->second)) deliver_transfer(transfer_id);
-  maybe_retire_transfer(transfer_id);
 }
 
 void StationNode::on_chunk_data(const net::Message& msg) {
@@ -707,21 +690,6 @@ void StationNode::on_chunk_data(const net::Message& msg) {
     return;
   }
   const net::ChunkData& d = data.value();
-  if (d.req_id != 0) {
-    // Receipt (not acceptance) frees the sender's window slot; duplicates
-    // and rejects are acked too — integrity gaps are repair's job.
-    net::ChunkAck ack;
-    ack.req_id = d.req_id;
-    ack.transfer_id = d.transfer_id;
-    ack.digest = d.digest;
-    ack.index = d.index;
-    net::Message out;
-    out.from = self_;
-    out.to = msg.from;
-    out.type = kChunkAck;
-    out.payload = ack.encode();
-    (void)fabric_->send(std::move(out));
-  }
   auto add = store_->blobs().add_chunk(d.digest, d.index, d.chunk_digest,
                                        d.payload.span());
   if (!add) {
@@ -737,13 +705,11 @@ void StationNode::on_chunk_data(const net::Message& msg) {
   }
   const bool duplicate = add.value() == blob::BlobStore::ChunkAdd::duplicate;
   if (duplicate) {
-    // The wire bytes were spent either way — account the waste (swarm mode
-    // is where overlapping sources make this reachable at scale).
-    ++stats_.chunk_duplicates;
+    // The wire bytes were spent either way — account the waste (a relay
+    // racing a pulled copy of the same chunk makes this reachable).
     ++stats_.chunk_duplicate_rx;
     stats_.chunk_wasted_bytes += d.chunk_len;
     auto& dm = DistMetrics::get();
-    dm.chunk_duplicates.inc();
     dm.chunk_duplicate_rx.inc();
     dm.chunk_wasted_bytes.inc(d.chunk_len);
   } else {
@@ -761,44 +727,26 @@ void StationNode::on_chunk_data(const net::Message& msg) {
     }
   }
   if (ordinal == std::numeric_limits<std::uint32_t>::max()) return;
-  if (t.swarm && t.sched && ordinal + 1 < t.chunk_prefix.size()) {
-    // Even a duplicate settles the in-flight request for this chunk.
-    t.sched->mark_have(t.chunk_prefix[ordinal] + d.index, fabric_->now());
-  }
+  // Even a duplicate settles the in-flight request for this chunk.
+  const std::uint32_t g = t.chunk_prefix[ordinal] + d.index;
+  t.sched->mark_have(g, fabric_->now());
   if (duplicate) return;
-  // Cut-through relay: this verified chunk forwards to every child now,
-  // before the next chunk arrives. In swarm mode only the chunk's stripe
-  // cursors carry it, and children already known to hold it are skipped.
+  // Cut-through relay: this verified chunk is queued for the children of
+  // its stripe tree now, before the next chunk arrives; children already
+  // known to hold (or be pulling) it are skipped.
   const std::uint64_t key = chunk_key(ordinal, d.index);
-  if (t.swarm) {
-    const std::uint32_t g = t.chunk_prefix[ordinal] + d.index;
-    const std::uint32_t tree = swarm::stripe_of(g, t.stripe_trees);
-    for (ChildCursor& c : t.children) {
-      if (c.tree != tree) continue;
-      if (t.sched && c.child_pos != 0 && t.sched->peer_covered(c.child_pos, g)) {
-        ++stats_.swarm_relay_suppressed;
-        DistMetrics::get().swarm_suppressed.inc();
-        continue;
-      }
-      enqueue_swarm_send(d.transfer_id, t, {c.child, c.child_pos, key, false});
+  const std::uint32_t tree = swarm::stripe_of(g, t.stripe_trees);
+  for (const StripeChild& c : t.children) {
+    if (c.tree != tree) continue;
+    if (t.sched->peer_covered(c.pos, g)) {
+      ++stats_.swarm_relay_suppressed;
+      DistMetrics::get().swarm_suppressed.inc();
+      continue;
     }
-  } else {
-    for (ChildCursor& c : t.children) c.pending.push_back(key);
-    for (ChildCursor& c : t.children) pump_cursor(d.transfer_id, c);
+    enqueue_send(d.transfer_id, t, {c.id, c.pos, key, false});
   }
   if (!t.delivered && transfer_blobs_complete(t)) deliver_transfer(d.transfer_id);
   maybe_retire_transfer(d.transfer_id);
-}
-
-void StationNode::on_chunk_ack(const net::Message& msg) {
-  auto ack = net::ChunkAck::decode(msg.payload);
-  if (!ack) return;
-  if (!rpc_.in_flight(ack.value().req_id)) {
-    rpc_.note_duplicate();
-    return;
-  }
-  (void)rpc_.complete<std::uint64_t>(ack.value().req_id,
-                                     std::uint64_t{ack.value().index});
 }
 
 void StationNode::on_chunk_req(const net::Message& msg) {
@@ -816,7 +764,6 @@ void StationNode::on_chunk_req(const net::Message& msg) {
             : static_cast<std::uint32_t>(payload.value().size());
     if (chunk_len == 0) continue;
     net::ChunkData d;
-    d.req_id = 0;       // repair data is unacked; the rsp summary closes the rpc
     d.transfer_id = 0;  // not part of a push transfer: no relay downstream
     d.digest = q.digest;
     d.index = index;
@@ -865,191 +812,44 @@ void StationNode::on_chunk_rsp(const net::Message& msg) {
   (void)rpc_.complete<std::uint32_t>(rsp.value().req_id, rsp.value().served);
 }
 
-// --- swarm mode (multi-source distribution, DESIGN.md §4f) -------------------
-
-Status StationNode::start_swarm_push(const DocManifest& manifest) {
-  std::uint64_t transfer_id = (self_.value() << 24) | ++next_req_;
-  Transfer t;
-  t.manifest = manifest;
-  t.chunk_bytes = config_.chunk.chunk_bytes;
-  for (const BlobRef& b : manifest.blobs) {
-    t.total_chunks += blob::chunk_count(b.size, t.chunk_bytes);
-  }
-  if (t.total_chunks > net::kMaxWireChunks) {
-    return {Errc::invalid_argument, "transfer too large for swarm mode"};
-  }
-  t.delivered = true;  // the instructor holds the persistent instance
-  last_delivery_ = fabric_->now();
-  t.trace_id = obs::derive_trace_id(transfer_id);
-  t.span = obs::Tracer::global().begin("swarm.push " + manifest.doc_key, 0,
-                                       fabric_->now(), self_.value(), t.trace_id);
-  auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
-  WDOC_CHECK(inserted, "duplicate transfer id");
-  init_swarm(transfer_id, it->second, config_.swarm.trees);
-  open_swarm_children(transfer_id, it->second);
-  maybe_retire_transfer(transfer_id);
-  return Status::ok();
-}
-
-void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32_t trees) {
-  t.swarm = true;
-  swarm::SwarmConfig cfg = config_.swarm;
-  cfg.trees = std::clamp<std::uint32_t>(trees, 1, net::kMaxWireTrees);
-  t.stripe_trees = cfg.trees;
-  t.chunk_prefix.assign(1, 0);
-  for (const BlobRef& b : t.manifest.blobs) {
-    t.chunk_prefix.push_back(t.chunk_prefix.back() +
-                             blob::chunk_count(b.size, t.chunk_bytes));
-  }
-  const std::uint64_t n = tree_order().size();
-  const std::uint32_t total = static_cast<std::uint32_t>(t.total_chunks);
-  // The tie-break seed is per-station (different stations spread their
-  // pulls differently); the neighbor seed is the transfer id, which every
-  // station knows, so both ends of a tree link derive the same sets.
-  t.sched = std::make_unique<swarm::SwarmScheduler>(
-      total, cfg, hash_combine(self_.value(), transfer_id), fabric_->now());
-  t.acting_parent.assign(t.stripe_trees, 0);
-  t.acting_since.assign(t.stripe_trees, fabric_->now());
-  for (std::uint32_t tree = 0; tree < t.stripe_trees; ++tree) {
-    auto p = swarm::stripe_parent(position_, tree, t.stripe_trees, m_, n);
-    t.sched->set_stripe_parent(tree, p.value_or(0));
-    t.acting_parent[tree] = p.value_or(0);
-  }
-  for (std::uint64_t nb : swarm::gossip_neighbors(position_, m_, n, t.stripe_trees,
-                                                  config_.swarm.extra_peers, transfer_id)) {
-    t.sched->add_peer(nb);
-  }
-  // Seed our own bitmap from whatever the blob store already holds
-  // (everything at the instructor; possibly shared blobs elsewhere).
-  std::vector<std::uint64_t> words((total + 63) / 64, 0);
-  const auto& bs = store_->blobs();
-  for (std::uint32_t ordinal = 0; ordinal < t.manifest.blobs.size(); ++ordinal) {
-    const BlobRef& b = t.manifest.blobs[ordinal];
-    bs.chunk_bits(b.digest, b.size, t.chunk_bytes, t.chunk_prefix[ordinal], words);
-  }
-  swarm::Bitmap have;
-  have.assign_words(std::move(words), total);
-  t.sched->seed_self(have, fabric_->now());
-  schedule_swarm_tick(transfer_id);
-}
-
-void StationNode::open_swarm_children(std::uint64_t transfer_id, Transfer& t) {
-  if (position_ == 0) return;
-  const std::uint64_t n = tree_order().size();
-  net::SwarmBegin begin;
-  begin.transfer_id = transfer_id;
-  begin.chunk_bytes = t.chunk_bytes;
-  begin.trees = t.stripe_trees;
-  Writer w;
-  t.manifest.serialize(w);
-  begin.manifest = w.take();
-  // One refcounted begin shared by every stripe child; a station that is
-  // our child in several trees gets one begin but one cursor per tree.
-  const net::Payload payload{begin.encode()};
-  std::set<std::uint64_t> announced;
-  for (std::uint32_t tree = 0; tree < t.stripe_trees; ++tree) {
-    for (std::uint64_t child_pos :
-         swarm::stripe_children(position_, tree, t.stripe_trees, m_, n)) {
-      if (child_pos < 1 || child_pos > n || child_pos == position_) continue;
-      StationId cid = tree_order()[child_pos - 1];
-      if (announced.insert(child_pos).second) {
-        net::Message out;
-        out.from = self_;
-        out.to = cid;
-        out.type = kSwarmBegin;
-        out.payload = payload;
-        out.wire_size = t.manifest.structure_bytes + payload.size();
-        out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-        DistMetrics::get().swarm_begins.inc();
-        (void)fabric_->send(std::move(out));
-        ++stats_.pushes_forwarded;
-      }
-      ChildCursor cursor;
-      cursor.child = cid;
-      cursor.tree = tree;
-      cursor.child_pos = child_pos;
-      t.children.push_back(std::move(cursor));
-      enqueue_held_chunks(t, t.children.back());
-    }
-  }
-  // Drain the cursors round-robin into the paced send queue, so the
-  // instructor's uplink interleaves stripe trees fairly (a sequential
-  // drain would delay one whole tree by the other's backlog).
-  bool more = true;
-  while (more) {
-    more = false;
-    for (ChildCursor& c : t.children) {
-      if (c.pending.empty()) continue;
-      enqueue_swarm_send(transfer_id, t,
-                         {c.child, c.child_pos, c.pending.front(), false});
-      c.pending.pop_front();
-      more = true;
-    }
-  }
-}
-
-void StationNode::resend_swarm_begin(std::uint64_t transfer_id, const Transfer& t,
-                                     const ChildCursor& c) {
-  net::SwarmBegin begin;
-  begin.transfer_id = transfer_id;
-  begin.chunk_bytes = t.chunk_bytes;
-  begin.trees = t.stripe_trees;
-  Writer w;
-  t.manifest.serialize(w);
-  begin.manifest = w.take();
-  net::Message out;
-  out.from = self_;
-  out.to = c.child;
-  out.type = kSwarmBegin;
-  out.payload = net::Payload{begin.encode()};
-  out.wire_size = t.manifest.structure_bytes + out.payload.size();
-  out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-  DistMetrics::get().swarm_begins.inc();
-  (void)fabric_->send(std::move(out));
-}
-
-SimTime StationNode::swarm_pace_interval(const Transfer& t) const {
-  // One chunk's serialization time on our own uplink (fabrics without a
-  // link model fall back to the configured floor). Sending at most one
-  // chunk per interval keeps the fabric's FIFO queue a chunk or two deep.
+SimTime StationNode::uplink_time(std::uint64_t chunk_len) const {
+  // Fabrics without a link model fall back to the configured floor.
   double bps = fabric_->uplink_bps(self_);
   if (bps <= 0) bps = config_.min_bandwidth_bps;
-  const double bytes = static_cast<double>(t.chunk_bytes) + net::kWireHeaderBytes;
+  const double bytes = static_cast<double>(chunk_len) + net::kWireHeaderBytes;
   return SimTime::seconds(bytes * 8.0 / bps);
 }
 
-void StationNode::enqueue_swarm_send(std::uint64_t transfer_id, Transfer& t,
-                                     SwarmSend entry) {
-  (entry.serve ? t.swarm_serve_queue : t.swarm_queue).push_back(entry);
+void StationNode::enqueue_send(std::uint64_t transfer_id, Transfer& t, ChunkSend entry) {
+  (entry.serve ? t.serve_queue : t.relay_queue).push_back(entry);
   if (t.pacing) return;
   t.pacing = true;
   // First send goes out immediately (cut-through); the timer only paces
   // the backlog behind it.
-  swarm_pace_tick(transfer_id);
+  pace_tick(transfer_id);
 }
 
-void StationNode::swarm_pace_tick(std::uint64_t transfer_id) {
+void StationNode::pace_tick(std::uint64_t transfer_id) {
   auto it = transfers_.find(transfer_id);
   if (it == transfers_.end()) return;
   Transfer& t = it->second;
-  // Swarm relays are unacked: a per-chunk ack would ride the child's
-  // already-saturated uplink FIFO behind its own relays, and the window
-  // stalls would halve pipeline throughput. Loss shows up as a bitmap
-  // hole and is recovered by the rarest-first pull path instead.
+  // Relays are unacked: a per-chunk ack would ride the child's already-
+  // saturated uplink FIFO behind its own relays, and window stalls would
+  // halve pipeline throughput. Loss shows up as a bitmap hole and is
+  // recovered by the rarest-first pull path instead.
   bool sent = false;
-  while (!sent && !(t.swarm_queue.empty() && t.swarm_serve_queue.empty())) {
+  std::uint32_t sent_len = 0;
+  while (!sent && !(t.relay_queue.empty() && t.serve_queue.empty())) {
     // Relays before serves, but after serve_stride consecutive relays one
     // serve cuts in (see the queue comment in the header).
     const bool serve_turn =
-        !t.swarm_serve_queue.empty() &&
-        (t.swarm_queue.empty() ||
-         t.relays_since_serve >= config_.swarm.serve_stride);
-    std::deque<SwarmSend>& q =
-        serve_turn ? t.swarm_serve_queue : t.swarm_queue;
-    const SwarmSend entry = q.front();
+        !t.serve_queue.empty() &&
+        (t.relay_queue.empty() || t.relays_since_serve >= config_.swarm.serve_stride);
+    std::deque<ChunkSend>& q = serve_turn ? t.serve_queue : t.relay_queue;
+    const ChunkSend entry = q.front();
     q.pop_front();
     if (dead_.contains(entry.to)) continue;
-    if (t.sched && entry.peer_pos != 0) {
+    if (entry.peer_pos != 0) {
       const std::uint32_t ordinal = key_ordinal(entry.key);
       const std::uint32_t g = ordinal + 1 < t.chunk_prefix.size()
                                   ? t.chunk_prefix[ordinal] + key_index(entry.key)
@@ -1067,12 +867,10 @@ void StationNode::swarm_pace_tick(std::uint64_t transfer_id) {
         continue;
       }
     }
-    if (!send_chunk(transfer_id, t, entry.to, entry.key, /*req_id=*/0,
-                    /*retransmit=*/false)
-             .is_ok()) {
-      continue;
-    }
+    if (!send_chunk(transfer_id, t, entry.to, entry.key).is_ok()) continue;
     sent = true;
+    sent_len = blob::chunk_size_at(t.manifest.blobs[key_ordinal(entry.key)].size,
+                                   key_index(entry.key), t.chunk_bytes);
     if (entry.serve) {
       t.relays_since_serve = 0;
       ++stats_.swarm_chunks_served;
@@ -1081,36 +879,37 @@ void StationNode::swarm_pace_tick(std::uint64_t transfer_id) {
       ++t.relays_since_serve;
     }
   }
-  if (!sent && t.swarm_queue.empty() && t.swarm_serve_queue.empty()) {
+  if (!sent && t.relay_queue.empty() && t.serve_queue.empty()) {
     // Idle tick with nothing left: the link goes quiet immediately.
     t.pacing = false;
     maybe_retire_transfer(transfer_id);
     return;
   }
-  // Stay "busy" for one chunk-time after every send even if the queue is
-  // momentarily empty — a relay enqueued a moment later must not bypass
-  // the pace and burst onto the wire behind the chunk still serializing.
+  // Stay "busy" until the chunk just sent has serialized on our uplink,
+  // even if the queue is momentarily empty — a relay enqueued a moment
+  // later must not bypass the pace and burst onto the wire behind it.
+  // Sending at most one chunk per such interval keeps the fabric's FIFO
+  // queue a chunk or two deep.
   t.pacing = true;
-  t.pace_timer = fabric_->schedule_on(
-      self_, swarm_pace_interval(t),
-      [this, transfer_id] { swarm_pace_tick(transfer_id); });
+  t.pace_timer = fabric_->schedule_on(self_, uplink_time(sent_len),
+                                      [this, transfer_id] { pace_tick(transfer_id); });
 }
 
-void StationNode::schedule_swarm_tick(std::uint64_t transfer_id) {
+void StationNode::schedule_gossip_tick(std::uint64_t transfer_id) {
   auto it = transfers_.find(transfer_id);
   if (it == transfers_.end()) return;
   it->second.gossip_timer =
       fabric_->schedule_on(self_, config_.swarm.gossip_interval,
-                           [this, transfer_id] { on_swarm_tick(transfer_id); });
+                           [this, transfer_id] { on_gossip_tick(transfer_id); });
 }
 
-void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
+void StationNode::on_gossip_tick(std::uint64_t transfer_id) {
   auto it = transfers_.find(transfer_id);
   if (it == transfers_.end()) return;
   Transfer& t = it->second;
-  if (!t.swarm || t.sched == nullptr || t.gossip_done) return;
+  if (t.gossip_done) return;
   if (!fabric_->is_online(self_)) {
-    // Crashed mid-transfer: the swarm is done with us. If we restart later
+    // Crashed mid-transfer: the push is done with us. If we restart later
     // the blob-level pull/repair path catches us up; keeping the gossip
     // timer alive would run the simulation clock out to max_rounds.
     t.gossip_done = true;
@@ -1132,7 +931,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
     if (ap == 0 || t.sched->complete()) continue;
     const SimTime heard = t.sched->peer_heard_at(ap);
     const SimTime ref = heard > t.acting_since[tree] ? heard : t.acting_since[tree];
-    if (now - ref <= config_.swarm.stall_timeout) continue;
+    if (now - ref <= t.sched->config().stall_timeout) continue;
     auto up = swarm::stripe_parent(ap, tree, t.stripe_trees, m_, n);
     t.acting_parent[tree] = up.value_or(0);
     t.acting_since[tree] = now;
@@ -1144,24 +943,34 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   // startup grace — a healthy child's first gossip arrives within a round
   // or two, and begins carry a whole manifest, so eager re-sends would
   // steal chunk-sized slots from the uplink right at ramp-up — re-send
-  // every few rounds until the child speaks; begins are idempotent.
-  if (t.gossip_rounds > 8 && t.gossip_rounds % 4 == 1) {
-    std::set<std::uint64_t> silent;
-    for (const ChildCursor& c : t.children) {
-      if (c.child_pos < 1 || c.child_pos > n) continue;
-      if (dead_.contains(c.child)) continue;
-      if (t.sched->peer_heard_at(c.child_pos) != SimTime::zero()) continue;
-      if (silent.insert(c.child_pos).second) resend_swarm_begin(transfer_id, t, c);
+  // every few rounds until the child speaks; begins are idempotent. For
+  // the first kSilentChildRounds a silent child also holds the transfer
+  // open: retiring before its begin got through would strand its whole
+  // subtree (while a child that crashed before ever speaking must not keep
+  // us gossiping to max_rounds).
+  const bool resend_round =
+      t.gossip_rounds > 8 * t.round_stretch && t.gossip_rounds % 4 == 1;
+  std::set<std::uint64_t> silent;
+  for (const StripeChild& c : t.children) {
+    if (c.pos < 1 || c.pos > n) continue;
+    if (dead_.contains(c.id)) continue;
+    if (t.sched->peer_heard_at(c.pos) != SimTime::zero()) continue;
+    if (silent.insert(c.pos).second && resend_round) {
+      send_begin(c.id, begin_payload(transfer_id, t), t);
     }
   }
+  // (An empty transfer has nothing to gossip about: its children never
+  // speak, so they cannot hold it.)
+  const bool awaiting_child = !silent.empty() && t.total_chunks > 0 &&
+                              t.gossip_rounds < kSilentChildRounds * t.round_stretch;
   // Advertised backlog approximates a new request's serve latency in
   // chunk-times, not raw queue length: while the uplink is relay-busy a
   // queued serve waits serve_stride relay slots per position, so each one
   // costs (stride + 1) chunk-times. A raw count makes a stride-throttled
   // interior server look as cheap as an idle leaf, and every requester
   // herds onto it.
-  const std::size_t relay_q = t.swarm_queue.size();
-  const std::size_t serve_q = t.swarm_serve_queue.size();
+  const std::size_t relay_q = t.relay_queue.size();
+  const std::size_t serve_q = t.serve_queue.size();
   // "Relay-busy" can't be read off the queue (cut-through keeps it near
   // empty between arrivals): a station with stripe children keeps relaying
   // until its own bitmap completes.
@@ -1241,25 +1050,25 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   t.last_state_sum = sum;
   t.gossip_heard = false;
   if (t.gossip_rounds >= config_.swarm.max_rounds ||
-      (self_done &&
+      (self_done && !awaiting_child &&
        (t.sched->peers_complete() || t.idle_rounds >= config_.swarm.idle_rounds))) {
     t.gossip_done = true;
     maybe_retire_transfer(transfer_id);
     return;
   }
-  schedule_swarm_tick(transfer_id);
+  schedule_gossip_tick(transfer_id);
 }
 
 void StationNode::on_swarm_begin(const net::Message& msg) {
   auto begin = net::SwarmBegin::decode(msg.payload);
   if (!begin) {
-    WDOC_ERROR("swarm begin decode failed: %s", begin.message().c_str());
+    WDOC_ERROR("push begin decode failed: %s", begin.message().c_str());
     return;
   }
   Reader mr(begin.value().manifest);
   auto manifest = DocManifest::deserialize(mr);
   if (!manifest) {
-    WDOC_ERROR("swarm begin manifest decode failed: %s", manifest.message().c_str());
+    WDOC_ERROR("push begin manifest decode failed: %s", manifest.message().c_str());
     return;
   }
   ++stats_.pushes_received;
@@ -1278,8 +1087,10 @@ void StationNode::on_swarm_begin(const net::Message& msg) {
   if (t.total_chunks > net::kMaxWireChunks) return;
   t.trace_id = msg.trace.trace_id;
   t.trace_sampled = msg.trace.sampled;
-  t.span = obs::Tracer::global().begin("swarm.push.hop " + m.doc_key, msg.trace.span_id,
+  t.span = obs::Tracer::global().begin("dist.push.hop " + m.doc_key, msg.trace.span_id,
                                        fabric_->now(), self_.value(), t.trace_id);
+  // Mirror entry first, so even a transfer that loses its tail leaves the
+  // routing information chunk-level repair needs.
   if (store_->doc(m.doc_key) == nullptr) (void)store_->put_reference(m);
   auto& bs = store_->blobs();
   for (const BlobRef& b : m.blobs) {
@@ -1289,9 +1100,9 @@ void StationNode::on_swarm_begin(const net::Message& msg) {
   auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
   WDOC_CHECK(inserted, "duplicate transfer id");
   // The stripe count comes from the wire, not local config — the whole
-  // cluster must agree on the forest geometry.
-  init_swarm(transfer_id, it->second, begin.value().trees);
-  open_swarm_children(transfer_id, it->second);
+  // cluster must agree on the tree geometry.
+  init_stripes(transfer_id, it->second, begin.value().trees);
+  open_stripe_children(transfer_id, it->second);
   if (transfer_blobs_complete(it->second)) deliver_transfer(transfer_id);
   maybe_retire_transfer(transfer_id);
 }
@@ -1311,7 +1122,6 @@ void StationNode::on_swarm_have(const net::Message& msg) {
     return;
   }
   Transfer& t = it->second;
-  if (!t.swarm || t.sched == nullptr) return;
   if (std::uint64_t{h.total_chunks} != t.total_chunks) return;  // geometry mismatch
   if (!position_matches(h.position, msg.from)) return;
   swarm::PeerReport report;
@@ -1334,11 +1144,10 @@ void StationNode::on_swarm_req(const net::Message& msg) {
   const net::SwarmReq& q = req.value();
   auto it = transfers_.find(q.transfer_id);
   if (it == transfers_.end()) {
-    DistMetrics::get().swarm_orphans.inc();
+    serve_retired_req(q, msg.from);
     return;
   }
   Transfer& t = it->second;
-  if (!t.swarm || t.sched == nullptr) return;
   if (std::uint64_t{q.total_chunks} != t.total_chunks) return;
   if (!position_matches(q.position, msg.from)) return;
   t.gossip_heard = true;  // an explicit request is always a sign of need
@@ -1353,20 +1162,38 @@ void StationNode::on_swarm_req(const net::Message& msg) {
   std::uint32_t queued = 0;
   for (std::uint32_t g : q.indices) {
     if (queued >= config_.swarm.request_batch) break;  // hostile-length guard
-    // g -> (ordinal, index) through the prefix table; zero-chunk blobs make
-    // prefix values repeat, so take the last blob whose base covers g.
-    auto ub = std::upper_bound(t.chunk_prefix.begin(), t.chunk_prefix.end(), g);
-    if (ub == t.chunk_prefix.begin()) continue;
-    const auto ordinal = static_cast<std::uint32_t>(ub - t.chunk_prefix.begin()) - 1;
-    if (ordinal >= t.manifest.blobs.size()) continue;
-    const std::uint32_t index = g - t.chunk_prefix[ordinal];
+    auto key = global_chunk_key(t.chunk_prefix, t.manifest.blobs.size(), g);
+    if (!key) continue;
     // Serves share the paced send queue with stripe relays, so a burst of
     // requests can't stack a multi-second FIFO on our uplink. Chunks we
     // don't hold fail the send at pace time and the requester re-plans.
-    enqueue_swarm_send(q.transfer_id, t,
-                       {msg.from, q.position, chunk_key(ordinal, index), true});
+    enqueue_send(q.transfer_id, t, {msg.from, q.position, *key, true});
     ++queued;
   }
+}
+
+void StationNode::serve_retired_req(const net::SwarmReq& q, StationId from) {
+  auto& dm = DistMetrics::get();
+  auto it = std::find_if(retired_.begin(), retired_.end(),
+                         [&](const auto& r) { return r.first == q.transfer_id; });
+  if (it == retired_.end()) {
+    dm.swarm_orphans.inc();
+    return;
+  }
+  const Transfer& t = it->second;
+  if (std::uint64_t{q.total_chunks} != t.total_chunks) return;
+  if (!position_matches(q.position, from)) return;
+  // The retired transfer has no paced queue left, and its uplink slot is
+  // otherwise idle: send the batch straight out.
+  std::uint32_t served = 0;
+  for (std::size_t i = 0; i < q.indices.size() && i < config_.swarm.request_batch; ++i) {
+    auto key = global_chunk_key(t.chunk_prefix, t.manifest.blobs.size(), q.indices[i]);
+    if (!key || !send_chunk(q.transfer_id, t, from, *key).is_ok()) continue;
+    ++served;
+  }
+  stats_.swarm_chunks_served += served;
+  dm.swarm_served.inc(served);
+  dm.swarm_retired_served.inc(served);
 }
 
 Status StationNode::pull_blob_chunks(BlobPull pull) {
@@ -1566,12 +1393,8 @@ void StationNode::on_message(const net::Message& msg) {
     on_blob_req(msg);
   } else if (msg.type == kBlobRsp) {
     on_blob_rsp(msg);
-  } else if (msg.type == kChunkBegin) {
-    on_chunk_begin(msg);
   } else if (msg.type == kChunkData) {
     on_chunk_data(msg);
-  } else if (msg.type == kChunkAck) {
-    on_chunk_ack(msg);
   } else if (msg.type == kChunkReq) {
     on_chunk_req(msg);
   } else if (msg.type == kChunkRsp) {
@@ -1887,7 +1710,7 @@ Status StationNode::send_blob_req(std::uint64_t req_id, StationId holder,
   return fabric_->send(std::move(msg));
 }
 
-Status StationNode::fetch_blob_rpc(StationId holder, const std::string& doc_key,
+Status StationNode::fetch_blob(StationId holder, const std::string& doc_key,
                                    const BlobRef& blob, BlobFetchCallback cb,
                                    std::optional<net::RpcOptions> options) {
   // Already resident (e.g. a previous fetch or a pushed lecture): no wire
@@ -2030,10 +1853,8 @@ obs::Snapshot StationNode::local_snapshot() const {
   const net::RpcStats rpc = rpc_.stats();
   counter("station.blob_serves", stats_.blob_serves);
   counter("station.chunk_duplicate_rx", stats_.chunk_duplicate_rx);
-  counter("station.chunk_duplicates", stats_.chunk_duplicates);
   counter("station.chunk_rejects", stats_.chunk_rejects);
   counter("station.chunk_repair_served", stats_.chunk_repair_served);
-  counter("station.chunk_retransmits", stats_.chunk_retransmits);
   counter("station.chunk_wasted_bytes", stats_.chunk_wasted_bytes);
   counter("station.chunks_received", stats_.chunks_received);
   counter("station.chunks_sent", stats_.chunks_sent);
@@ -2061,7 +1882,7 @@ obs::Snapshot StationNode::local_snapshot() const {
   return snap;
 }
 
-Status StationNode::scrape_tree_rpc(SnapshotCallback cb) {
+Status StationNode::scrape_tree(SnapshotCallback cb) {
   std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
   return start_scrape(req_id, std::nullopt, std::move(cb));
 }

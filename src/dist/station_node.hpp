@@ -33,7 +33,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <type_traits>
 #include <vector>
 
 #include "dist/mtree.hpp"
@@ -50,14 +49,13 @@ namespace wdoc::dist {
 
 // Knobs of the chunked cut-through push/pull paths. A push splits every
 // BLOB into `chunk_bytes` chunks; an interior station relays chunk k to its
-// children as soon as it verifies, holding at most `window` unacked chunks
-// in flight per child (each one an rpc with a deadline and retry budget).
-// Pull-side repair requests at most `repair_batch` missing indices per
-// round. `enabled = false` falls back to whole-manifest store-and-forward.
+// children as soon as it verifies, through a send queue paced at one chunk
+// per uplink chunk-time (see StationNode's push engine). Pull-side repair
+// requests at most `repair_batch` missing indices per round. `enabled =
+// false` falls back to whole-manifest store-and-forward.
 struct ChunkConfig {
   bool enabled = true;
   std::uint32_t chunk_bytes = 256 * 1024;
-  std::uint32_t window = 32;
   std::uint32_t repair_batch = 64;
 
   [[nodiscard]] Status validate() const;
@@ -86,18 +84,15 @@ struct StationConfig {
   double min_bandwidth_bps = 1e6;
   // Seed for the rpc tracker's deterministic backoff jitter.
   std::uint64_t rpc_seed = 0x77d0c;
-  // Chunked transfer knobs (push pipelining, windowing, chunk repair).
+  // Chunked transfer knobs (push chunk size, chunk repair).
   ChunkConfig chunk;
-  // Multi-source swarm distribution (stripe trees + bitmap gossip +
-  // rarest-first pull). Requires chunk.enabled; off by default.
+  // Push engine knobs: gossip, stall-gated pull, pacing. `swarm.enabled`
+  // stripes the push over `swarm.trees` rotated trees; off, the same
+  // engine runs the paper's single m-ary tree. Requires chunk.enabled.
   swarm::SwarmConfig swarm;
 
   [[nodiscard]] Status validate() const;
 };
-
-// Deprecated alias (kept one release): the old name before the rpc knobs
-// were merged in. Remove once callers migrate.
-using NodeConfig = StationConfig;
 
 struct NodeStats {
   std::uint64_t pushes_received = 0;
@@ -116,15 +111,14 @@ struct NodeStats {
   // Chunked transfer path:
   std::uint64_t chunks_sent = 0;         // data chunks sent (push + repair)
   std::uint64_t chunks_received = 0;     // chunks verified into partial assembly
-  std::uint64_t chunk_duplicates = 0;    // already-held chunks received again
   std::uint64_t chunk_rejects = 0;       // failed digest/bounds verification
-  std::uint64_t chunk_retransmits = 0;   // rpc-retry resends of a pushed chunk
   std::uint64_t chunk_repair_served = 0; // chunks served to pull requests
   std::uint64_t chunk_bytes_sent = 0;    // payload bytes across chunk sends
-  // Chunk receive accounting (swarm mode makes duplicates possible):
+  // Chunk receive accounting (overlapping relay and pull make duplicates
+  // possible):
   std::uint64_t chunk_duplicate_rx = 0;  // already-held chunks received again
   std::uint64_t chunk_wasted_bytes = 0;  // wire bytes those duplicates cost
-  // Swarm path:
+  // Gossip and pull path:
   std::uint64_t swarm_haves_sent = 0;        // gossip bitmaps sent
   std::uint64_t swarm_reqs_sent = 0;         // rarest-first request messages
   std::uint64_t swarm_chunks_requested = 0;  // chunk indices across those
@@ -139,13 +133,6 @@ class StationNode {
   using FetchCallback = net::Rpc<DocManifest>;
   using BlobFetchCallback = net::Rpc<BlobRef>;
   using SnapshotCallback = net::Rpc<obs::Snapshot>;
-
-  // Deprecated legacy shapes (kept one release): fetch_blob and scrape_tree
-  // accept these via their template entry points and adapt. BlobCallback
-  // loses the distinction between payload variants (it only sees Status);
-  // ScrapeCallback receives an empty snapshot on terminal failure.
-  using BlobCallback = std::function<void(Status, SimTime)>;
-  using ScrapeCallback = std::function<void(obs::Snapshot, SimTime)>;
 
   StationNode(net::Fabric& fabric, StationId self, ObjectStore& store,
               StationConfig config = {});
@@ -182,11 +169,12 @@ class StationNode {
   // --- instructor side ------------------------------------------------------
   // Root of a multicast: stores a persistent instance (if not already held)
   // and pushes down the tree. Children receive ephemeral copies. With
-  // config().chunk.enabled (the default) the push is chunked and pipelined:
+  // config().chunk.enabled (the default) the push is chunked and paced:
   // interior stations relay each verified chunk before the next arrives, so
-  // makespan approaches blob_time + depth * chunk_time instead of
-  // depth * blob_time. Disabled, it is the historical whole-manifest
-  // store-and-forward push.
+  // makespan approaches m * blob_time + depth * chunk_time instead of
+  // depth * blob_time. The tree is the paper's m-ary placement, or
+  // swarm.trees rotated stripe trees when swarm.enabled. Chunking
+  // disabled, it is the historical whole-manifest store-and-forward push.
   [[nodiscard]] Status broadcast_push(const DocManifest& manifest);
   // The pre-chunking store-and-forward push, kept callable for A/B
   // comparison (bench_prebroadcast, the pipelining regression test).
@@ -209,28 +197,10 @@ class StationNode {
   // Fetches one BLOB's payload from `holder` (charged at blob size). On
   // completion the payload is registered in the local BlobStore, so a
   // repeat fetch of the same content completes locally without network
-  // traffic. Accepts the canonical Rpc<BlobRef> shape or the deprecated
-  // (Status, SimTime) shape.
-  template <typename Cb>
+  // traffic.
   [[nodiscard]] Status fetch_blob(StationId holder, const std::string& doc_key,
-                                  const BlobRef& blob, Cb&& cb,
-                                  std::optional<net::RpcOptions> options = std::nullopt) {
-    if constexpr (std::is_invocable_v<Cb&, Result<BlobRef>, SimTime>) {
-      return fetch_blob_rpc(holder, doc_key, blob,
-                            BlobFetchCallback(std::forward<Cb>(cb)), options);
-    } else {
-      BlobCallback legacy(std::forward<Cb>(cb));
-      return fetch_blob_rpc(
-          holder, doc_key, blob,
-          [legacy = std::move(legacy)](Result<BlobRef> r, SimTime t) {
-            legacy(r.status(), t);
-          },
-          options);
-    }
-  }
-  [[nodiscard]] Status fetch_blob_rpc(StationId holder, const std::string& doc_key,
-                                      const BlobRef& blob, BlobFetchCallback cb,
-                                      std::optional<net::RpcOptions> options = std::nullopt);
+                                  const BlobRef& blob, BlobFetchCallback cb,
+                                  std::optional<net::RpcOptions> options = std::nullopt);
 
   // Chunk-granularity anti-entropy: ensures a local reference, then pulls
   // only the chunks of the manifest's blobs this station is missing (up the
@@ -258,22 +228,8 @@ class StationNode {
   // fires once here with the subtree-wide merge. Called on the tree root
   // (directly or via AdminNode::scrape_cluster) this yields the whole
   // cluster in one snapshot. A merge waiting on a dead subtree completes
-  // partially after a height-scaled deadline instead of hanging. Accepts
-  // the canonical Rpc<obs::Snapshot> shape or the deprecated
-  // (obs::Snapshot, SimTime) shape.
-  template <typename Cb>
-  [[nodiscard]] Status scrape_tree(Cb&& cb) {
-    if constexpr (std::is_invocable_v<Cb&, Result<obs::Snapshot>, SimTime>) {
-      return scrape_tree_rpc(SnapshotCallback(std::forward<Cb>(cb)));
-    } else {
-      ScrapeCallback legacy(std::forward<Cb>(cb));
-      return scrape_tree_rpc(
-          [legacy = std::move(legacy)](Result<obs::Snapshot> r, SimTime t) {
-            legacy(r.is_ok() ? std::move(r).value() : obs::Snapshot{}, t);
-          });
-    }
-  }
-  [[nodiscard]] Status scrape_tree_rpc(SnapshotCallback cb);
+  // partially after a height-scaled deadline instead of hanging.
+  [[nodiscard]] Status scrape_tree(SnapshotCallback cb);
 
   [[nodiscard]] ObjectStore& store() { return *store_; }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
@@ -284,14 +240,14 @@ class StationNode {
   [[nodiscard]] const StationConfig& config() const { return config_; }
   void set_watermark(std::uint64_t w) { config_.watermark = w; }
 
-  // Chunked transfers (push) still assembling here, including fully-received
-  // ones whose children have unacked chunks in flight.
+  // Chunked push transfers still active here: assembling, relaying, or
+  // gossiping with neighbors that may still need chunks.
   [[nodiscard]] std::size_t active_transfers() const { return transfers_.size(); }
 
   // When this station last materialized a pushed lecture (zero before the
   // first push completes locally). Benches compute a broadcast's makespan
   // as the max across stations, which — unlike the fabric's quiescence
-  // time — excludes the swarm gossip tail after the last delivery.
+  // time — excludes the gossip tail after the last delivery.
   [[nodiscard]] SimTime last_delivery() const { return last_delivery_; }
 
   // Message type tags (public for tests). Chunk tags live in net/chunk_wire.hpp.
@@ -302,9 +258,7 @@ class StationNode {
   static constexpr const char* kFetchErr = "dist.fetch_err";
   static constexpr const char* kBlobReq = "dist.blob_req";
   static constexpr const char* kBlobRsp = "dist.blob_rsp";
-  static constexpr const char* kChunkBegin = net::kChunkBegin;
   static constexpr const char* kChunkData = net::kChunkData;
-  static constexpr const char* kChunkAck = net::kChunkAck;
   static constexpr const char* kChunkReq = net::kChunkReq;
   static constexpr const char* kChunkRsp = net::kChunkRsp;
   static constexpr const char* kSwarmBegin = net::kSwarmBegin;
@@ -320,9 +274,7 @@ class StationNode {
   void on_fetch_err(const net::Message& msg);
   void on_blob_req(const net::Message& msg);
   void on_blob_rsp(const net::Message& msg);
-  void on_chunk_begin(const net::Message& msg);
   void on_chunk_data(const net::Message& msg);
-  void on_chunk_ack(const net::Message& msg);
   void on_chunk_req(const net::Message& msg);
   void on_chunk_rsp(const net::Message& msg);
   void on_scrape_req(const net::Message& msg);
@@ -341,26 +293,25 @@ class StationNode {
   void declare_dead(StationId target);
   void note_alive(StationId from);
 
-  // --- chunked push ---------------------------------------------------------
-  // Per-child relay state of one transfer: chunks not yet sent (in arrival
-  // order — the cut-through queue) and the bounded in-flight window, each
-  // slot an rpc waiting on its ChunkAck.
-  struct ChildCursor {
-    StationId child;
-    std::deque<std::uint64_t> pending;                 // (blob_ordinal<<32)|index
-    std::map<std::uint64_t, std::uint64_t> in_flight;  // chunk key -> rpc req_id
-    // Swarm mode: which stripe tree this cursor feeds (only that tree's
-    // chunks are relayed through it) and the child's 1-based position,
-    // for bitmap-based relay suppression. tree is 0 and child_pos unset
-    // on the single-tree pipeline.
+  // --- chunked push (DESIGN.md §4d) -----------------------------------------
+  // One engine for every chunked push: chunks ride `stripe_trees` trees
+  // (one — the paper's placement — unless swarm mode stripes them), each
+  // station relays a verified chunk to that tree's children through a
+  // paced send queue, gossips its have-bitmap, and pulls stalled chunks
+  // rarest-first from neighbors.
+  //
+  // One tree child of this station: the station, the stripe tree the edge
+  // belongs to (only that tree's chunks ride it), and the child's 1-based
+  // position, for bitmap-based relay suppression.
+  struct StripeChild {
+    StationId id;
     std::uint32_t tree = 0;
-    std::uint64_t child_pos = 0;
+    std::uint64_t pos = 0;
   };
-  // One queued swarm-mode chunk send: a stripe relay to a tree child
-  // (serve=false) or a requested chunk to a pulling peer (serve=true).
-  // peer_pos is the receiver's 1-based tree position, for last-moment
-  // bitmap suppression.
-  struct SwarmSend {
+  // One queued chunk send: a stripe relay to a tree child (serve=false) or
+  // a requested chunk to a pulling peer (serve=true). peer_pos is the
+  // receiver's 1-based tree position, for last-moment bitmap suppression.
+  struct ChunkSend {
     StationId to;
     std::uint64_t peer_pos = 0;
     std::uint64_t key = 0;  // (blob_ordinal<<32)|index
@@ -371,22 +322,24 @@ class StationNode {
     std::uint32_t chunk_bytes = 0;
     std::uint64_t total_chunks = 0;
     bool delivered = false;  // local instance materialized
-    std::vector<ChildCursor> children;
+    std::vector<StripeChild> children;
     std::uint64_t span = 0;  // trace span covering this hop of the multicast
     // End-to-end trace of the whole multicast: derived deterministically
     // from the transfer id at the root, inherited from msg.trace.trace_id
     // at every hop below it (together with the head-sample verdict).
     std::uint64_t trace_id = 0;
     bool trace_sampled = false;
-    // Swarm mode (DESIGN.md §4f):
-    bool swarm = false;
     bool gossip_done = false;     // gossip loop finished; transfer may retire
     std::uint32_t stripe_trees = 1;
+    // How many times slower than the 10 Mb/s tuning this station's uplink
+    // feeds a child (rounded up; 1 at or above it). Stretches the round
+    // counts that wait on a child's first gossip (see init_stripes).
+    std::uint32_t round_stretch = 1;
     // Global chunk index base per blob ordinal (size blobs+1): chunk g of
     // the transfer is blob upper_bound(g)-1, index g - prefix[ordinal].
     std::vector<std::uint32_t> chunk_prefix;
     std::unique_ptr<swarm::SwarmScheduler> sched;
-    // Stripe-ancestor adoption (the swarm analogue of tree failover): the
+    // Stripe-ancestor adoption (the gossip analogue of tree failover): the
     // closest ancestor per stripe tree we currently expect gossip from.
     // While it stays silent past stall_timeout we walk one level further
     // up and adopt that ancestor as a gossip peer — a shallow ancestor
@@ -403,59 +356,56 @@ class StationNode {
     // its bitmap is frozen (it may be waiting on our serves) — hearing it
     // must hold this transfer open, or we retire while it still needs us.
     bool gossip_heard = false;
-    // Paced swarm send queues: sends drain one chunk per uplink
-    // chunk-time, so the fabric queue never grows beyond a chunk or two
-    // and small control traffic (begins, gossip) is never stuck behind
-    // seconds of bulk data. Stripe relays (swarm_queue) take priority over
-    // request serves (swarm_serve_queue) — a relay feeds a whole subtree —
-    // but after serve_stride consecutive relays one serve is interleaved,
-    // so crash recovery drains steadily instead of waiting for the entire
+    // Paced send queues: sends drain one chunk per uplink chunk-time, so
+    // the fabric queue never grows beyond a chunk or two and small control
+    // traffic (begins, gossip) is never stuck behind seconds of bulk data.
+    // Relays are unacked — loss shows up as a bitmap hole and the pull
+    // path refills it. Stripe relays (relay_queue) take priority over
+    // request serves (serve_queue) — a relay feeds a whole subtree — but
+    // after serve_stride consecutive relays one serve is interleaved, so
+    // crash recovery drains steadily instead of waiting for the entire
     // relay backlog (see SwarmConfig::serve_stride).
-    std::deque<SwarmSend> swarm_queue;
-    std::deque<SwarmSend> swarm_serve_queue;
+    std::deque<ChunkSend> relay_queue;
+    std::deque<ChunkSend> serve_queue;
     std::uint32_t relays_since_serve = 0;
     net::Fabric::TimerHandle pace_timer;
     bool pacing = false;
   };
 
-  [[nodiscard]] Status start_chunked_push(const DocManifest& manifest);
-  // Forwards the transfer's begin to this node's tree children and creates
-  // their cursors; enqueues every locally-held chunk (cut-through for the
-  // rest happens as chunks verify in on_chunk_data).
-  void open_transfer_children(std::uint64_t transfer_id, Transfer& t);
-  void enqueue_held_chunks(Transfer& t, ChildCursor& cursor);
-  void pump_cursor(std::uint64_t transfer_id, ChildCursor& cursor);
+  [[nodiscard]] Status start_stripe_push(const DocManifest& manifest);
+  // Builds the transfer's gossip and pull state: chunk prefix table,
+  // scheduler with stripe parents and gossip neighbors, self bitmap seeded
+  // from the blob store, and the first gossip tick.
+  void init_stripes(std::uint64_t transfer_id, Transfer& t, std::uint32_t trees);
+  // Sends SwarmBegin to every stripe-tree child, records one StripeChild
+  // per (child, tree), and queues every locally-held chunk for them
+  // (cut-through for the rest happens as chunks verify in on_chunk_data).
+  void open_stripe_children(std::uint64_t transfer_id, Transfer& t);
+  // The transfer's SwarmBegin, and one send of it to a child. Begins are
+  // idempotent: a child that has never gossiped back may have lost every
+  // copy, and gets it again (see on_gossip_tick).
+  [[nodiscard]] net::Payload begin_payload(std::uint64_t transfer_id, const Transfer& t) const;
+  void send_begin(StationId to, const net::Payload& payload, const Transfer& t);
+  void enqueue_send(std::uint64_t transfer_id, Transfer& t, ChunkSend entry);
+  void pace_tick(std::uint64_t transfer_id);
+  // Serialization time of one chunk of `chunk_len` bytes on our uplink.
+  [[nodiscard]] SimTime uplink_time(std::uint64_t chunk_len) const;
   [[nodiscard]] Status send_chunk(std::uint64_t transfer_id, const Transfer& t,
-                                  StationId child, std::uint64_t key,
-                                  std::uint64_t req_id, bool retransmit);
+                                  StationId to, std::uint64_t key);
   [[nodiscard]] bool transfer_blobs_complete(const Transfer& t) const;
   void deliver_transfer(std::uint64_t transfer_id);
   void maybe_retire_transfer(std::uint64_t transfer_id);
-
-  // --- swarm mode (multi-source distribution, DESIGN.md §4f) ---------------
-  [[nodiscard]] Status start_swarm_push(const DocManifest& manifest);
-  // Builds the transfer's swarm state: chunk prefix table, scheduler with
-  // stripe parents and gossip neighbors, self bitmap seeded from the blob
-  // store, and the first gossip tick.
-  void init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32_t trees);
-  // Sends SwarmBegin to every stripe-tree child and creates one cursor per
-  // (child, tree); each cursor relays only its tree's chunks.
-  void open_swarm_children(std::uint64_t transfer_id, Transfer& t);
-  // Re-announce a transfer to a child that has never gossiped back — its
-  // SwarmBegin may have been lost on every stripe tree (begins are
-  // idempotent, so over-sending is safe).
-  void resend_swarm_begin(std::uint64_t transfer_id, const Transfer& t,
-                          const ChildCursor& c);
-  void enqueue_swarm_send(std::uint64_t transfer_id, Transfer& t, SwarmSend entry);
-  void swarm_pace_tick(std::uint64_t transfer_id);
-  [[nodiscard]] SimTime swarm_pace_interval(const Transfer& t) const;
-  void schedule_swarm_tick(std::uint64_t transfer_id);
+  void schedule_gossip_tick(std::uint64_t transfer_id);
   // One gossip round: progress/idle bookkeeping, termination check, then
   // SwarmHave to every known peer and SwarmReq per scheduler plan.
-  void on_swarm_tick(std::uint64_t transfer_id);
+  void on_gossip_tick(std::uint64_t transfer_id);
   void on_swarm_begin(const net::Message& msg);
   void on_swarm_have(const net::Message& msg);
   void on_swarm_req(const net::Message& msg);
+  // A SwarmReq for a transfer this station already retired: served straight
+  // from the blob store with the retired transfer's geometry, so a peer
+  // that lost its last chunks after its neighbors finished still converges.
+  void serve_retired_req(const net::SwarmReq& q, StationId from);
   // Maps a sender-claimed position to its station id, validating it against
   // the broadcast vector and the message's actual origin.
   [[nodiscard]] bool position_matches(std::uint64_t position, StationId from) const;
@@ -514,6 +464,13 @@ class StationNode {
 
   // Chunked push transfers in flight (keyed by transfer id).
   std::map<std::uint64_t, Transfer> transfers_;
+  // The most recently retired transfers, kept (scheduler and queues
+  // dropped) so late SwarmReqs can still be served.
+  std::deque<std::pair<std::uint64_t, Transfer>> retired_;
+  static constexpr std::size_t kRetiredTransfers = 8;
+  // Gossip rounds during which a never-heard stripe child holds its
+  // parent's transfer open (see on_gossip_tick).
+  static constexpr std::uint32_t kSilentChildRounds = 40;
 
   // Hierarchical scrape in flight: requesters waiting on the merge (a retry
   // of an in-flight req_id registers as an extra waiter, never a second

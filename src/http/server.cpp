@@ -100,7 +100,13 @@ Status HttpServer::start() {
 
 void HttpServer::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Set under queue_mu_: a worker between its predicate check and its
+    // wait holds the mutex, so it either sees the flag or is already
+    // waiting when notify_all below fires — no lost wakeup.
+    std::lock_guard lock(queue_mu_);
+    stopping_.store(true, std::memory_order_release);
+  }
   // Wake the acceptor out of accept().
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   // Wake workers blocked in recv() on live connections.

@@ -10,31 +10,6 @@ namespace {
 
 }  // namespace
 
-Bytes ChunkBegin::encode() const {
-  Writer w;
-  w.u64(transfer_id);
-  w.u32(chunk_bytes);
-  w.bytes(manifest);
-  return w.take();
-}
-
-Result<ChunkBegin> ChunkBegin::decode(std::span<const std::uint8_t> b) {
-  Reader r(b);
-  ChunkBegin out;
-  auto id = r.u64();
-  auto cb = r.u32();
-  if (!id || !cb) return Error{Errc::corrupt, "bad chunk begin"};
-  out.transfer_id = id.value();
-  out.chunk_bytes = cb.value();
-  if (!plausible_chunk_len(out.chunk_bytes)) {
-    return Error{Errc::corrupt, "chunk begin: implausible chunk size"};
-  }
-  auto m = r.bytes();
-  if (!m) return m.error();
-  out.manifest = std::move(m).value();
-  return out;
-}
-
 Bytes ChunkData::encode() const {
   Writer w;
   w.u64(req_id);
@@ -86,32 +61,6 @@ Result<ChunkData> ChunkData::decode(std::span<const std::uint8_t> header, Payloa
   } else if (!body.empty()) {
     return Error{Errc::corrupt, "chunk data: unexpected payload bytes"};
   }
-  return out;
-}
-
-Bytes ChunkAck::encode() const {
-  Writer w;
-  w.u64(req_id);
-  w.u64(transfer_id);
-  w.u64(digest.lo);
-  w.u64(digest.hi);
-  w.u32(index);
-  return w.take();
-}
-
-Result<ChunkAck> ChunkAck::decode(std::span<const std::uint8_t> b) {
-  Reader r(b);
-  ChunkAck out;
-  auto req = r.u64();
-  auto xfer = r.u64();
-  auto lo = r.u64();
-  auto hi = r.u64();
-  auto idx = r.u32();
-  if (!req || !xfer || !lo || !hi || !idx) return Error{Errc::corrupt, "bad chunk ack"};
-  out.req_id = req.value();
-  out.transfer_id = xfer.value();
-  out.digest = Digest128{lo.value(), hi.value()};
-  out.index = idx.value();
   return out;
 }
 

@@ -1,13 +1,11 @@
 // Wire format of the chunked transfer protocol (push and repair paths).
 //
-//   ChunkBegin  opens a transfer: geometry plus an opaque manifest blob the
-//               distribution layer interprets; charged at structure size.
-//   ChunkData   one sequence-numbered, content-hashed chunk. req_id != 0
-//               requests a ChunkAck (windowed push under rpc deadlines);
-//               req_id == 0 is unacked repair/pull data riding ahead of its
-//               ChunkRsp summary on the same FIFO link.
-//   ChunkAck    receipt for one pushed chunk; completes the sender's rpc
-//               and frees a slot in the per-child in-flight window.
+//   ChunkData   one sequence-numbered, content-hashed chunk. transfer_id
+//               != 0 is push data (a stripe relay, or a chunk served to a
+//               SwarmReq) that the receiver relays on down its tree;
+//               transfer_id == 0 is repair/pull data riding ahead of its
+//               ChunkRsp summary on the same FIFO link. Pushes open with
+//               net::SwarmBegin (net/swarm_wire.hpp).
 //   ChunkReq    pull request for an explicit list of missing chunk indices.
 //   ChunkRsp    pull summary: how many of the requested chunks were served.
 //
@@ -35,9 +33,7 @@
 
 namespace wdoc::net {
 
-inline constexpr const char* kChunkBegin = "dist.chunk_begin";
 inline constexpr const char* kChunkData = "dist.chunk";
-inline constexpr const char* kChunkAck = "dist.chunk_ack";
 inline constexpr const char* kChunkReq = "dist.chunk_req";
 inline constexpr const char* kChunkRsp = "dist.chunk_rsp";
 
@@ -45,17 +41,8 @@ inline constexpr const char* kChunkRsp = "dist.chunk_rsp";
 // without reaching into the blob layer).
 inline constexpr std::uint32_t kMaxWireChunkBytes = 64u << 20;
 
-struct ChunkBegin {
-  std::uint64_t transfer_id = 0;
-  std::uint32_t chunk_bytes = 0;
-  Bytes manifest;  // opaque to the transport; dist decodes a DocManifest
-
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<ChunkBegin> decode(std::span<const std::uint8_t> b);
-};
-
 struct ChunkData {
-  std::uint64_t req_id = 0;       // != 0: ack requested, completes this rpc
+  std::uint64_t req_id = 0;       // reserved: always 0, ignored on receipt
   std::uint64_t transfer_id = 0;  // != 0: part of a push transfer (relayed)
   Digest128 digest;               // blob being assembled
   std::uint32_t index = 0;        // sequence number within the blob
@@ -68,16 +55,6 @@ struct ChunkData {
   [[nodiscard]] Bytes encode() const;
   [[nodiscard]] static Result<ChunkData> decode(std::span<const std::uint8_t> header,
                                                 Payload body);
-};
-
-struct ChunkAck {
-  std::uint64_t req_id = 0;
-  std::uint64_t transfer_id = 0;
-  Digest128 digest;
-  std::uint32_t index = 0;
-
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<ChunkAck> decode(std::span<const std::uint8_t> b);
 };
 
 struct ChunkReq {

@@ -1,10 +1,10 @@
-// Wire format of the swarm distribution protocol (DESIGN.md §4f).
+// Wire format of the chunked push protocol (DESIGN.md §4d, §4f).
 //
-//   SwarmBegin  opens a swarm transfer: the chunk-pipeline geometry plus
-//               the stripe-tree count. Sent down EVERY stripe tree (the
-//               m-fold redundancy is the loss protection — duplicates are
-//               idempotent), separate from ChunkBegin so the single-tree
-//               pipeline's wire format stays byte-identical.
+//   SwarmBegin  opens a chunked push: the chunk geometry, the stripe-tree
+//               count (1 for the paper's single tree) and the manifest.
+//               Sent down EVERY stripe tree (with several trees the
+//               redundancy is the loss protection — duplicates are
+//               idempotent).
 //   SwarmHave   periodic gossip: the sender's chunk-possession bitmap for
 //               one transfer, packed one bit per chunk into 64-bit words.
 //   SwarmReq    rarest-first pull: an explicit list of global chunk

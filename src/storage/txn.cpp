@@ -190,16 +190,22 @@ Status TransactionManager::acquire(TxnId txn, const ResourceKey& key, TxnLockMod
   auto& state = txns_[txn.value()];
   WDOC_CHECK(state.active, "acquire on finished txn");
 
-  auto& lock = locks_[key];
-  auto held_it = lock.holders.find(txn.value());
   TxnLockMode target = mode;
-  if (held_it != lock.holders.end()) {
-    target = combine(held_it->second, mode);
-    if (target == held_it->second) return Status::ok();  // already strong enough
+  if (auto lit = locks_.find(key); lit != locks_.end()) {
+    auto held_it = lit->second.holders.find(txn.value());
+    if (held_it != lit->second.holders.end()) {
+      target = combine(held_it->second, mode);
+      if (target == held_it->second) return Status::ok();  // already strong enough
+    }
   }
 
+  // The entry is looked up afresh on every check, never held by reference:
+  // the wait below releases mu_, and a committing holder's release_all
+  // erases the entry once its holder set empties.
   auto grantable = [&] {
-    for (const auto& [holder, held] : lock.holders) {
+    auto lit = locks_.find(key);
+    if (lit == locks_.end()) return true;
+    for (const auto& [holder, held] : lit->second.holders) {
       if (holder == txn.value()) continue;
       if (!txn_lock_compatible(held, target)) return false;
     }
@@ -241,7 +247,7 @@ Status TransactionManager::acquire(TxnId txn, const ResourceKey& key, TxnLockMod
               "txn " + std::to_string(txn.value()) + " lock timeout on " + key.table};
     }
   }
-  lock.holders[txn.value()] = target;
+  locks_[key].holders[txn.value()] = target;
   state.held.insert(key);
   return Status::ok();
 }
@@ -278,6 +284,10 @@ Status TransactionManager::finish_commit(Txn& txn) {
   rec.txn = txn.id().value();
   WDOC_TRY(db_.log(rec));
   WDOC_TRY(db_.flush());
+  // physical_mu_ before mu_: the order every write takes them in (its
+  // UndoSink records the before-image under mu_ while the write holds
+  // physical_mu_), so the two can never deadlock.
+  std::lock_guard<std::mutex> latch(physical_mu_);
   std::lock_guard<std::mutex> g(mu_);
   // Auto-checkpoint only when this is the sole active transaction: a
   // snapshot must not capture other transactions' uncommitted writes.
@@ -285,10 +295,7 @@ Status TransactionManager::finish_commit(Txn& txn) {
   std::size_t active = static_cast<std::size_t>(
       std::count_if(txns_.begin(), txns_.end(),
                     [](const auto& kv) { return kv.second.active; }));
-  if (active == 1) {
-    std::lock_guard<std::mutex> latch(physical_mu_);
-    WDOC_TRY(db_.maybe_checkpoint());
-  }
+  if (active == 1) WDOC_TRY(db_.maybe_checkpoint());
   release_all(txn.id());
   TxnMetrics::get().commits.inc();
   return Status::ok();

@@ -1,11 +1,12 @@
-// Knobs of the multi-source swarm distribution mode (DESIGN.md §4f).
+// Knobs of the chunked push engine's gossip and pull machinery, and of
+// multi-source swarm striping (DESIGN.md §4d, §4f).
 //
-// Swarm mode layers three mechanisms over the PR 4 chunk pipeline: chunks
-// striped round-robin across `trees` rotated stripe trees, periodic
-// have-bitmap gossip to a bounded deterministic neighbor set, and
-// rarest-first pull of chunks whose stripe tree has stalled. All timing
-// runs on the fabric clock and all tie-breaks are seeded hashes, so a
-// same-seed simulation is byte-identical.
+// Every chunked push runs periodic have-bitmap gossip to a bounded
+// deterministic neighbor set and rarest-first pull of chunks whose tree
+// has stalled. Swarm mode additionally stripes chunks round-robin across
+// `trees` rotated stripe trees. All timing runs on the fabric clock and
+// all tie-breaks are seeded hashes, so a same-seed simulation is
+// byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +17,8 @@
 namespace wdoc::swarm {
 
 struct SwarmConfig {
-  // Off by default: broadcast_push falls back to the single-tree chunked
-  // pipeline (or store-and-forward when that is disabled too).
+  // Off by default: the push runs down the paper's single m-ary tree (the
+  // gossip and pull knobs below still apply).
   bool enabled = false;
   // Interleaved stripe trees. Chunk g rides tree g % trees; each tree is a
   // rotation of the same full m-ary placement, so a station interior in
@@ -76,7 +77,6 @@ struct SwarmConfig {
   std::uint32_t max_rounds = 4096;
 
   [[nodiscard]] Status validate() const {
-    if (!enabled) return {};
     if (trees == 0 || trees > 64)
       return {Errc::invalid_argument, "swarm.trees must be in [1, 64]"};
     if (gossip_interval <= SimTime::zero())

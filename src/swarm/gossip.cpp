@@ -19,8 +19,18 @@ std::vector<std::uint64_t> gossip_neighbors(std::uint64_t position, std::uint64_
     if (auto p = stripe_parent(position, t, trees, m, n)) {
       out.insert(*p);
       // Siblings: the parent's other children share our feed and finish
-      // adjacent chunk ranges first — the cheapest repair sources.
-      for (std::uint64_t s : stripe_children(*p, t, trees, m, n)) out.insert(s);
+      // adjacent chunk ranges first — the cheapest repair sources. Only the
+      // two beside us in the parent's child list count, or a wide fan-out
+      // (a star) would have every child gossip with every other.
+      const std::vector<std::uint64_t> sibs = stripe_children(*p, t, trees, m, n);
+      if (sibs.size() <= 3) {
+        out.insert(sibs.begin(), sibs.end());
+      } else {
+        const auto i = static_cast<std::size_t>(
+            std::find(sibs.begin(), sibs.end(), position) - sibs.begin());
+        out.insert(sibs[(i + 1) % sibs.size()]);
+        out.insert(sibs[(i + sibs.size() - 1) % sibs.size()]);
+      }
     }
     for (std::uint64_t c : stripe_children(position, t, trees, m, n)) out.insert(c);
   }

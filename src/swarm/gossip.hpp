@@ -2,8 +2,8 @@
 //
 // A station's swarm neighbors are the stations it exchanges SwarmHave
 // bitmaps with and may pull chunks from: its stripe-tree relations
-// (parent, children, and siblings in every stripe tree — the stations
-// whose possession it most directly depends on) plus `extra` seeded
+// (parent, children, and the siblings on either side in every stripe tree
+// — the stations whose possession it most directly depends on) plus `extra` seeded
 // pseudo-random peers, the HCA-style shortcut links that keep the overlay
 // diameter low without unbounded degree. The set is a pure function of
 // (position, m, n, trees, extra, seed), so both endpoints of every link

@@ -70,6 +70,7 @@ class SwarmScheduler {
  public:
   SwarmScheduler(std::uint32_t total_chunks, SwarmConfig cfg, std::uint64_t seed,
                  SimTime now);
+  [[nodiscard]] const SwarmConfig& config() const { return cfg_; }
 
   // Topology: which position feeds each stripe tree (0 = no feed, e.g. at
   // the root), and the gossip neighbor set.

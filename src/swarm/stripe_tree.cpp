@@ -32,6 +32,7 @@ std::optional<std::uint64_t> stripe_parent(std::uint64_t k, std::uint32_t tree,
                                            std::uint32_t trees, std::uint64_t m,
                                            std::uint64_t n) {
   if (k <= 1 || k > n || n < 2 || m < 1) return std::nullopt;
+  if (trees <= 1) return dist::parent_position(k, m);
   const std::uint64_t r = n - 1;
   const std::uint64_t rot = stripe_rotation(tree, trees, n);
   const std::uint64_t v = to_virtual(k, rot, r);
@@ -44,6 +45,13 @@ std::vector<std::uint64_t> stripe_children(std::uint64_t k, std::uint32_t tree,
                                            std::uint64_t n) {
   std::vector<std::uint64_t> out;
   if (k < 1 || k > n || n < 2 || m < 1) return out;
+  if (trees <= 1) {
+    for (std::uint64_t i = 1; i <= m; ++i) {
+      const std::uint64_t c = dist::child_position(k, i, m);
+      if (c <= n) out.push_back(c);
+    }
+    return out;
+  }
   const std::uint64_t r = n - 1;
   const std::uint64_t rot = stripe_rotation(tree, trees, n);
   if (k == 1) {

@@ -1,5 +1,7 @@
 // Interleaved stripe trees: `trees` rotated copies of the paper's full
-// m-ary placement, with chunks striped round-robin across them.
+// m-ary placement, with chunks striped round-robin across them. A single
+// tree (trees = 1) is the paper's placement itself: the root has m
+// children, exactly as parent_position / child_position place them.
 //
 // The single broadcast tree wastes (N - interior)/N of the cluster's
 // uplink capacity: leaves never forward anything. Stripe tree t keeps the
@@ -38,8 +40,8 @@ namespace wdoc::swarm {
                                                          std::uint32_t trees, std::uint64_t m,
                                                          std::uint64_t n);
 
-// Children of position k in stripe tree `tree` (fan-out m; the root has
-// exactly one child — the tree's head — in every tree).
+// Children of position k in stripe tree `tree` (fan-out m; with trees > 1
+// the root has exactly one child — the tree's head — in every tree).
 [[nodiscard]] std::vector<std::uint64_t> stripe_children(std::uint64_t k, std::uint32_t tree,
                                                          std::uint32_t trees, std::uint64_t m,
                                                          std::uint64_t n);

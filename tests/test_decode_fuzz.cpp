@@ -94,25 +94,6 @@ TEST(DecodeFuzz, DocManifest) {
   EXPECT_EQ(dist::DocManifest::deserialize(r).expect("valid"), manifest);
 }
 
-TEST(DecodeFuzz, ChunkBegin) {
-  net::ChunkBegin begin;
-  begin.transfer_id = 0xabcdef01;
-  begin.chunk_bytes = 256 * 1024;
-  begin.manifest = Bytes{1, 2, 3, 4, 5, 6, 7, 8};
-  fuzz_decoder(
-      begin.encode(),
-      [](const Bytes& b) { return net::ChunkBegin::decode(b).is_ok(); }, 10);
-  // Zero and oversized chunk sizes are rejected even when well-formed.
-  for (std::uint32_t bad : {0u, net::kMaxWireChunkBytes + 1, 0xffffffffu}) {
-    net::ChunkBegin evil = begin;
-    evil.chunk_bytes = bad;
-    EXPECT_FALSE(net::ChunkBegin::decode(evil.encode()).is_ok()) << bad;
-  }
-  auto ok = net::ChunkBegin::decode(begin.encode()).expect("valid");
-  EXPECT_EQ(ok.transfer_id, begin.transfer_id);
-  EXPECT_EQ(ok.manifest, begin.manifest);
-}
-
 TEST(DecodeFuzz, ChunkData) {
   net::ChunkData d;
   d.req_id = 77;
@@ -149,20 +130,6 @@ TEST(DecodeFuzz, ChunkData) {
   net::ChunkData huge = synth;
   huge.chunk_len = net::kMaxWireChunkBytes + 1;
   EXPECT_FALSE(net::ChunkData::decode(huge.encode(), net::Payload{}).is_ok());
-}
-
-TEST(DecodeFuzz, ChunkAck) {
-  net::ChunkAck ack;
-  ack.req_id = 55;
-  ack.transfer_id = 66;
-  ack.digest = digest128("blob");
-  ack.index = 12;
-  fuzz_decoder(
-      ack.encode(), [](const Bytes& b) { return net::ChunkAck::decode(b).is_ok(); },
-      13);
-  auto ok = net::ChunkAck::decode(ack.encode()).expect("valid");
-  EXPECT_EQ(ok.req_id, ack.req_id);
-  EXPECT_EQ(ok.index, ack.index);
 }
 
 TEST(DecodeFuzz, ChunkReq) {

@@ -560,6 +560,19 @@ TEST(Server, ConcurrentClientsStayConsistent) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST(Server, ImmediateStopAfterStartNeverHangs) {
+  // stop() racing workers that are still on their way into the queue wait:
+  // a wakeup lost there would hang stop() in join forever.
+  ServerConfig cfg;
+  cfg.workers = 4;
+  for (int i = 0; i < 200; ++i) {
+    HttpServer server(cfg, [](const Request&) { return Response::text(200, "ok\n"); });
+    ASSERT_TRUE(server.start().is_ok()) << "cycle " << i;
+    server.stop();
+    ASSERT_FALSE(server.running()) << "cycle " << i;
+  }
+}
+
 TEST(Server, StopIsGracefulAndIdempotent) {
   auto s = std::make_unique<ServerHarness>();
   HttpClient client;

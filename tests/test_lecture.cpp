@@ -19,7 +19,7 @@ struct Station {
 class LectureFixture : public ::testing::Test {
  protected:
   void build(std::size_t n, double loss, std::uint64_t m = 2,
-             std::uint64_t seed = 11) {
+             std::uint64_t seed = 11, StationConfig config = {}) {
     net_ = std::make_unique<net::SimNetwork>(seed);
     net::StationLink link;
     link.loss_rate = loss;
@@ -29,7 +29,7 @@ class LectureFixture : public ::testing::Test {
       s.id = net_->add_station(link);
       s.blobs = std::make_unique<blob::BlobStore>();
       s.store = std::make_unique<ObjectStore>(*s.blobs);
-      s.node = std::make_unique<StationNode>(*net_, s.id, *s.store);
+      s.node = std::make_unique<StationNode>(*net_, s.id, *s.store, config);
       s.node->bind();
       vec.push_back(s.id);
       stations_.push_back(std::move(s));
@@ -83,8 +83,16 @@ TEST_F(LectureFixture, HappyPathLifeCycle) {
   EXPECT_TRUE(stations_[0].store->has_materialized("http://mmu.edu/lecture"));
 }
 
+// The whole-manifest store-and-forward push has no gossip to heal loss:
+// the lossy-broadcast and repair tests below run it to get their gaps.
+StationConfig store_forward_config() {
+  StationConfig cfg;
+  cfg.chunk.enabled = false;
+  return cfg;
+}
+
 TEST_F(LectureFixture, LossyBroadcastLeavesGaps) {
-  build(15, /*loss=*/0.35, 2, /*seed=*/3);
+  build(15, /*loss=*/0.35, 2, /*seed=*/3, store_forward_config());
   LectureSession session(LectureId{1}, lecture_doc(), *stations_[0].node, audience());
   ASSERT_TRUE(session.begin().is_ok());
   net_->run();
@@ -93,8 +101,20 @@ TEST_F(LectureFixture, LossyBroadcastLeavesGaps) {
   EXPECT_FALSE(session.fully_distributed());
 }
 
-TEST_F(LectureFixture, RepairFillsGaps) {
+TEST_F(LectureFixture, LossyChunkedBroadcastHealsWithoutRepair) {
   build(15, /*loss=*/0.35, 2, /*seed=*/3);
+  LectureSession session(LectureId{1}, lecture_doc(), *stations_[0].node, audience());
+  ASSERT_TRUE(session.begin().is_ok());
+  net_->run();
+  // The same loss against the chunked push: lost begins are re-sent to
+  // silent children and lost chunks pulled from gossip peers, so every
+  // station ends up with the lecture before any repair round.
+  EXPECT_TRUE(session.fully_distributed());
+  EXPECT_EQ(session.repairs_issued(), 0u);
+}
+
+TEST_F(LectureFixture, RepairFillsGaps) {
+  build(15, /*loss=*/0.35, 2, /*seed=*/3, store_forward_config());
   LectureSession session(LectureId{1}, lecture_doc(), *stations_[0].node, audience());
   ASSERT_TRUE(session.begin().is_ok());
   net_->run();

@@ -7,8 +7,10 @@
 
 #include <set>
 
+#include "dist/mtree.hpp"
 #include "dist/station_node.hpp"
 #include "net/sim_network.hpp"
+#include "obs/metrics.hpp"
 #include "swarm/gossip.hpp"
 #include "swarm/scheduler.hpp"
 #include "swarm/stripe_tree.hpp"
@@ -50,6 +52,20 @@ TEST(StripeTree, RootHasExactlyOneChildPerTree) {
     heads.insert(kids[0]);
   }
   EXPECT_EQ(heads.size(), 3u);
+}
+
+TEST(StripeTree, SingleTreeIsThePaperPlacement) {
+  // One stripe tree is the paper's m-ary tree itself: the root forwards to
+  // m children, and every parent is ⌊(k−i−1)/m⌋+1.
+  for (std::uint64_t n : {15ull, 63ull}) {
+    for (std::uint64_t m : {1ull, 2ull, 3ull}) {
+      EXPECT_EQ(stripe_children(1, 0, 1, m, n).size(), m);
+      for (std::uint64_t k = 2; k <= n; ++k) {
+        EXPECT_EQ(stripe_parent(k, 0, 1, m, n), dist::parent_position(k, m))
+            << "n=" << n << " m=" << m << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(StripeTree, EveryStationReachesRootInEveryTree) {
@@ -103,6 +119,26 @@ TEST(Gossip, NeighborsAreDeterministicBoundedAndExcludeSelf) {
       EXPECT_LE(nb, n);
     }
     EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
+  }
+}
+
+TEST(Gossip, WideFanOutKeepsLeafDegreeBounded) {
+  // One tree shaped as a star: every leaf shares the root with 62 others.
+  // A leaf gossips with the root, the siblings on either side and its
+  // extras — not with all 62 — so one gossip round stays O(n), not O(n²).
+  const std::uint64_t n = 64, m = n - 1;
+  for (std::uint64_t k = 2; k <= n; ++k) {
+    auto nb = gossip_neighbors(k, m, n, 1, 2, 0xfeed);
+    EXPECT_LE(nb.size(), 1u + 2u + 2u) << "position " << k;
+    EXPECT_TRUE(std::binary_search(nb.begin(), nb.end(), 1u)) << "position " << k;
+  }
+  // Sibling links stay symmetric: each leaf hears both of its neighbors.
+  for (std::uint64_t k = 2; k <= n; ++k) {
+    const std::uint64_t next = k == n ? 2 : k + 1;
+    auto mine = gossip_neighbors(k, m, n, 1, 0, 0);
+    auto theirs = gossip_neighbors(next, m, n, 1, 0, 0);
+    EXPECT_TRUE(std::binary_search(mine.begin(), mine.end(), next)) << k;
+    EXPECT_TRUE(std::binary_search(theirs.begin(), theirs.end(), k)) << k;
   }
 }
 
@@ -446,6 +482,53 @@ TEST(SwarmPush, LossyLinksSelfHealAndTerminate) {
     EXPECT_EQ(nodes[i]->active_transfers(), 0u)
         << "station " << i << ": transfer failed to retire under loss";
   }
+}
+
+TEST(SwarmPush, RetiredPeersStillServeLateRequests) {
+  // 10% loss at simulation seed 1 (the lossy benchmark sweep's first
+  // seed): one station ends the push missing a chunk after the peers that
+  // hold it have finished and retired the transfer. Its requests must
+  // still be served — from the blob store, with the retired geometry —
+  // instead of being dropped until its gossip hits the round cap.
+  constexpr net::StationLink kLossyCampus{10e6, 10e6, SimTime::millis(15), 0.1};
+  StationConfig cfg = swarm_config();
+  net::SimNetwork net(1);
+  const std::size_t n = 63;
+  net.reserve_stations(n);
+  std::vector<StationId> ids;
+  std::vector<std::unique_ptr<blob::BlobStore>> blobs;
+  std::vector<std::unique_ptr<ObjectStore>> stores;
+  std::vector<std::unique_ptr<StationNode>> nodes;
+  for (std::size_t i = 0; i < n; ++i) {
+    ids.push_back(net.add_station(kLossyCampus));
+    blobs.push_back(std::make_unique<blob::BlobStore>());
+    stores.push_back(std::make_unique<ObjectStore>(*blobs.back()));
+    nodes.push_back(std::make_unique<StationNode>(net, ids.back(), *stores.back(), cfg));
+    nodes.back()->bind();
+  }
+  auto shared = std::make_shared<const std::vector<StationId>>(ids);
+  for (auto& node : nodes) node->set_tree(shared, 2);
+  DocManifest doc;
+  doc.doc_key = "http://mmu.edu/lecture";
+  doc.structure_bytes = 64 << 10;
+  doc.home = ids[0];
+  BlobRef video;
+  video.digest = digest128(doc.doc_key + "-blob-0");
+  video.size = 10 << 20;
+  video.type = blob::MediaType::video;
+  video.playout_ms = 0;
+  doc.blobs.push_back(video);
+  auto& retired_served = obs::MetricsRegistry::global().counter("swarm.retired_served");
+  const std::uint64_t retired_before = retired_served.value();
+  ASSERT_TRUE(nodes[0]->broadcast_push(doc).is_ok());
+  net.run();
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(stores[i]->has_materialized(doc.doc_key)) << "station " << i;
+    EXPECT_EQ(nodes[i]->active_transfers(), 0u) << "station " << i;
+  }
+  EXPECT_GT(retired_served.value(), retired_before);
+  // Far below the gossip round cap (4096 rounds = 1024 s).
+  EXPECT_LT(net.now().as_seconds(), 200.0);
 }
 
 }  // namespace

@@ -204,6 +204,36 @@ TEST_F(TxnFixture, ConcurrentTransfersPreserveTotalBalance) {
   EXPECT_EQ(total, 150);
 }
 
+TEST_F(TxnFixture, ContendedSingleRowIncrementsAreSerialized) {
+  // Every thread hammers one row. Each commit empties the row's holder set
+  // and erases its lock entry while other transactions are parked waiting
+  // on that very entry — waiters must re-find it, never touch the old one.
+  const int kThreads = 8;
+  const int kOpsPerThread = 40;
+  std::atomic<int> committed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        auto txn = mgr_.begin();
+        auto row = txn->get("accounts", a_);
+        if (!row.is_ok() ||
+            !txn->update_column("accounts", a_, "balance",
+                                Value(row.value()[1].as_int() + 1))
+                 .is_ok()) {
+          txn->abort();
+          continue;
+        }
+        if (txn->commit().is_ok()) ++committed;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_GT(committed.load(), 0);
+  EXPECT_EQ(db_->catalog().table("accounts")->cell(a_, "balance").as_int(),
+            100 + committed.load());
+}
+
 TEST_F(TxnFixture, SoakRandomOpsKeepInvariants) {
   // Seed a wider table so threads mostly work on disjoint rows.
   std::vector<RowId> rows{a_, b_};
