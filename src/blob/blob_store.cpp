@@ -16,6 +16,7 @@ struct BlobMetrics {
   obs::Counter& puts;
   obs::Counter& dedup_hits;
   obs::Counter& evictions;
+  obs::Counter& digest_bytes;
   obs::Gauge& stored_bytes;
   obs::Gauge& logical_bytes;
 
@@ -24,8 +25,8 @@ struct BlobMetrics {
       auto& reg = obs::MetricsRegistry::global();
       return new BlobMetrics{
           reg.counter("blob.puts"),        reg.counter("blob.dedup_hits"),
-          reg.counter("blob.evictions"),   reg.gauge("blob.stored_bytes"),
-          reg.gauge("blob.logical_bytes"),
+          reg.counter("blob.evictions"),   reg.counter("blob.digest_bytes"),
+          reg.gauge("blob.stored_bytes"),  reg.gauge("blob.logical_bytes"),
       };
     }();
     return *m;
@@ -118,8 +119,14 @@ BlobStore::~BlobStore() {
   BlobMetrics::get().logical_bytes.sub(static_cast<std::int64_t>(logical_bytes_));
 }
 
+Digest128 BlobStore::hash(std::span<const std::uint8_t> bytes) {
+  digest_bytes_ += bytes.size();
+  BlobMetrics::get().digest_bytes.inc(bytes.size());
+  return digest128(bytes);
+}
+
 Result<BlobId> BlobStore::put(Bytes data, MediaType type) {
-  Digest128 digest = digest128(std::span<const std::uint8_t>(data));
+  Digest128 digest = hash(data);
   const std::uint64_t size = data.size();
   return put_entry(digest, size, type, std::make_shared<Bytes>(std::move(data)),
                    /*resident=*/true);
@@ -252,6 +259,7 @@ Result<bool> BlobStore::begin_partial(const Digest128& digest, std::uint64_t siz
   p.info = PartialInfo{digest, size, type, chunk_bytes, chunk_count(size, chunk_bytes), 0};
   p.have.assign(p.info.chunks_total, false);
   p.real.assign(p.info.chunks_total, false);
+  p.chunk_digests.resize(p.info.chunks_total);
   partials_.emplace(digest, std::move(p));
   return true;
 }
@@ -264,7 +272,7 @@ Result<BlobStore::ChunkAdd> BlobStore::promote_partial(Partial& p) {
     // Whole-blob integrity gate: per-chunk digests already passed, but the
     // declared blob digest is the contract — reject and restart assembly
     // rather than ever accepting bytes under the wrong content address.
-    if (digest128(std::span<const std::uint8_t>(*p.data)) != info.digest) {
+    if (hash(*p.data) != info.digest) {
       p.have.assign(info.chunks_total, false);
       p.real.assign(info.chunks_total, false);
       p.info.chunks_have = 0;
@@ -284,6 +292,12 @@ Result<BlobStore::ChunkAdd> BlobStore::promote_partial(Partial& p) {
                                            std::move(p.data), /*resident=*/true)
                                : put_synthetic(info.digest, info.size, info.type);
   if (!id) return id.error();  // e.g. out of space; partial stays for a retry
+  if (all_real) {
+    // The chunk digests verified on receipt stay with the stored chunks.
+    Entry& e = blobs_.at(id.value().value());
+    e.digest_chunk_bytes = info.chunk_bytes;
+    e.chunk_digests.assign(p.chunk_digests.begin(), p.chunk_digests.end());
+  }
   // The assembled blob is buffer space until a document instance claims it —
   // the same zero-reference contract a completed single-shot fetch leaves.
   WDOC_TRY(release(id.value()));
@@ -314,7 +328,7 @@ Result<BlobStore::ChunkAdd> BlobStore::add_chunk(const Digest128& digest, std::u
       return Error{Errc::corrupt, "chunk size " + std::to_string(data.size()) +
                                       " != expected " + std::to_string(expect)};
     }
-    if (real_chunk_digest(data) != chunk_digest) {
+    if (hash(data) != chunk_digest) {
       return Error{Errc::corrupt, "chunk payload digest mismatch"};
     }
   }
@@ -334,6 +348,7 @@ Result<BlobStore::ChunkAdd> BlobStore::add_chunk(const Digest128& digest, std::u
     std::copy(data.begin(), data.end(),
               p.data->begin() + static_cast<std::ptrdiff_t>(chunk_offset(index, p.info.chunk_bytes)));
     p.real[index] = true;
+    p.chunk_digests[index] = chunk_digest;
   }
   if (p.info.chunks_have == p.info.chunks_total) return promote_partial(p);
   return ChunkAdd::accepted;
@@ -367,8 +382,23 @@ std::vector<std::uint32_t> BlobStore::missing_chunks(const Digest128& digest,
   return out;
 }
 
-Result<net::Payload> BlobStore::chunk_payload(const Digest128& digest, std::uint32_t index,
-                                              std::uint32_t chunk_bytes) {
+Digest128 BlobStore::stored_chunk_digest(Entry& e, std::uint32_t index,
+                                         std::uint32_t chunk_bytes) {
+  if (e.digest_chunk_bytes != chunk_bytes) {
+    e.digest_chunk_bytes = chunk_bytes;
+    e.chunk_digests.assign(chunk_count(e.info.size, chunk_bytes), std::nullopt);
+  }
+  std::optional<Digest128>& d = e.chunk_digests[index];
+  if (!d) {
+    d = hash(std::span<const std::uint8_t>(*e.data).subspan(
+        chunk_offset(index, chunk_bytes), chunk_size_at(e.info.size, index, chunk_bytes)));
+  }
+  return *d;
+}
+
+Result<BlobStore::ChunkSlice> BlobStore::chunk_payload(const Digest128& digest,
+                                                       std::uint32_t index,
+                                                       std::uint32_t chunk_bytes) {
   if (chunk_bytes == 0 || chunk_bytes > kMaxChunkBytes) {
     return Error{Errc::invalid_argument, "bad chunk size"};
   }
@@ -377,14 +407,17 @@ Result<net::Payload> BlobStore::chunk_payload(const Digest128& digest, std::uint
     if (i == nullptr || index >= chunk_count(i->size, chunk_bytes)) {
       return Error{Errc::unavailable, "chunk index out of range"};
     }
-    if (!i->resident) return net::Payload{};  // synthetic: size-only chunk
+    if (!i->resident) {  // synthetic: size-only chunk
+      return ChunkSlice{net::Payload{}, synthetic_chunk_digest(digest, index)};
+    }
     // Fault the payload in (disk-backed stores) before slicing.
     auto span = get(*id);
     if (!span) return span.error();
-    const Entry& e = blobs_.at(id->value());
+    Entry& e = blobs_.at(id->value());
     const std::uint64_t off = chunk_offset(index, chunk_bytes);
     const std::uint32_t len = chunk_size_at(i->size, index, chunk_bytes);
-    return net::Payload::wrap(e.data, off, len);
+    return ChunkSlice{net::Payload::wrap(e.data, off, len),
+                      stored_chunk_digest(e, index, chunk_bytes)};
   }
   auto it = partials_.find(digest);
   if (it == partials_.end() || it->second.info.chunk_bytes != chunk_bytes ||
@@ -392,10 +425,12 @@ Result<net::Payload> BlobStore::chunk_payload(const Digest128& digest, std::uint
     return Error{Errc::unavailable, "chunk not held locally"};
   }
   const Partial& p = it->second;
-  if (!p.real[index]) return net::Payload{};  // received synthetically
+  if (!p.real[index]) {  // received synthetically
+    return ChunkSlice{net::Payload{}, synthetic_chunk_digest(digest, index)};
+  }
   const std::uint64_t off = chunk_offset(index, chunk_bytes);
   const std::uint32_t len = chunk_size_at(p.info.size, index, chunk_bytes);
-  return net::Payload::wrap(p.data, off, len);
+  return ChunkSlice{net::Payload::wrap(p.data, off, len), p.chunk_digests[index]};
 }
 
 void BlobStore::chunk_bits(const Digest128& digest, std::uint64_t size,

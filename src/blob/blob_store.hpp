@@ -95,6 +95,14 @@ class BlobStore {
     std::uint32_t chunks_total = 0;
     std::uint32_t chunks_have = 0;
   };
+  // One chunk as a station serves it: the zero-copy slice plus the digest
+  // it travels under. The digest is the one recorded when the chunk was
+  // verified on receipt (or, for a blob stored whole, hashed once on first
+  // serve), so forwarding a chunk never re-hashes it.
+  struct ChunkSlice {
+    net::Payload payload;  // empty for a synthetic chunk
+    Digest128 digest;      // real_chunk_digest or synthetic_chunk_digest
+  };
   enum class ChunkAdd : std::uint8_t {
     accepted = 0,   // new chunk verified and recorded
     duplicate = 1,  // chunk (or whole blob) already present
@@ -118,16 +126,17 @@ class BlobStore {
   // Up to `max` missing chunk indices, ascending (empty for unknown digests).
   [[nodiscard]] std::vector<std::uint32_t> missing_chunks(const Digest128& digest,
                                                           std::uint32_t max) const;
-  // Bytes of chunk `index` as a zero-copy slice into the blob's shared
-  // buffer — one lecture buffer per blob, whether complete or a partial
-  // mid-assembly; serving a chunk bumps a refcount, never copies. Empty
-  // payload when the chunk is synthetic. Errc::unavailable when the chunk
-  // is not held locally. The slice stays valid (and its bytes immutable)
-  // across promotion, eviction, and store destruction: promotion moves the
-  // same shared buffer into the complete entry, and the refcount keeps
-  // evicted buffers alive until the last slice drops.
-  [[nodiscard]] Result<net::Payload> chunk_payload(const Digest128& digest, std::uint32_t index,
-                                                   std::uint32_t chunk_bytes);
+  // Chunk `index` as a zero-copy slice into the blob's shared buffer — one
+  // lecture buffer per blob, whether complete or a partial mid-assembly;
+  // serving a chunk bumps a refcount, never copies — together with its
+  // digest, kept with the stored chunk (see ChunkSlice). Empty payload when
+  // the chunk is synthetic. Errc::unavailable when the chunk is not held
+  // locally. The slice stays valid (and its bytes immutable) across
+  // promotion, eviction, and store destruction: promotion moves the same
+  // shared buffer into the complete entry, and the refcount keeps evicted
+  // buffers alive until the last slice drops.
+  [[nodiscard]] Result<ChunkSlice> chunk_payload(const Digest128& digest, std::uint32_t index,
+                                                 std::uint32_t chunk_bytes);
   void drop_partial(const Digest128& digest);
   // Snapshot of this store's possession of `digest`'s chunks, packed one
   // bit per chunk into `words` starting at absolute bit `bit_offset` (the
@@ -149,6 +158,10 @@ class BlobStore {
   [[nodiscard]] std::uint64_t logical_bytes() const { return logical_bytes_; }
   [[nodiscard]] std::size_t blob_count() const { return blobs_.size(); }
   [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
+  // Bytes this store has run through digest128: whole blobs on put and at
+  // the promotion gate, chunks on receipt and on first serve of a blob
+  // stored whole. Also summed process-wide as the blob.digest_bytes counter.
+  [[nodiscard]] std::uint64_t digest_bytes() const { return digest_bytes_; }
 
  private:
   // Payload buffers are shared (net::Payload slices alias them), so an
@@ -159,12 +172,18 @@ class BlobStore {
     std::shared_ptr<Bytes> data;  // null for synthetic and not-yet-faulted blobs
     bool on_disk = false;         // payload exists at blob_path(digest)
     bool loaded = false;          // data holds the payload
+    // Digests of the chunks at one chunk size: carried over from assembly,
+    // or hashed on first serve for a blob stored whole (and re-filled if a
+    // caller asks at another chunk size).
+    std::uint32_t digest_chunk_bytes = 0;
+    std::vector<std::optional<Digest128>> chunk_digests;
   };
 
   struct Partial {
     PartialInfo info;
     std::vector<bool> have;  // verified chunks
     std::vector<bool> real;  // chunks whose payload bytes are in `data`
+    std::vector<Digest128> chunk_digests;  // verified digest of each real chunk
     // The lecture buffer: sized once (to the whole blob) on the first real
     // chunk and never reallocated, so verified-chunk slices handed out by
     // chunk_payload stay valid while later chunks land around them. Null
@@ -177,6 +196,11 @@ class BlobStore {
                                          MediaType type, std::shared_ptr<Bytes> data,
                                          bool resident);
   [[nodiscard]] Result<ChunkAdd> promote_partial(Partial& p);
+  // digest128 of bytes this store hashes, counted in digest_bytes().
+  [[nodiscard]] Digest128 hash(std::span<const std::uint8_t> bytes);
+  // Digest of a resident, loaded entry's chunk, memoized per chunk size.
+  [[nodiscard]] Digest128 stored_chunk_digest(Entry& e, std::uint32_t index,
+                                              std::uint32_t chunk_bytes);
   [[nodiscard]] std::string blob_path(const Digest128& digest) const;
   void remove_entry_files(const Entry& e);
 
@@ -188,6 +212,7 @@ class BlobStore {
   std::uint64_t capacity_;
   std::uint64_t stored_bytes_ = 0;
   std::uint64_t logical_bytes_ = 0;
+  std::uint64_t digest_bytes_ = 0;
   std::string dir_;  // empty = memory-only
 };
 

@@ -1,8 +1,10 @@
 // Content hashing for BLOB dedup and integrity checks.
 //
-// Digest128 is built from two independent FNV-1a passes; it is a
+// Digest128 is a word-at-a-time, eight-lane hash in the xxHash64 style (see
+// hash.cpp) whose two 64-bit words each depend on every input byte; it is a
 // content-address, not a cryptographic commitment — collision resistance at
-// the 2^-64 level is ample for a course-material store.
+// the 2^-64 level is ample for a course-material store. fnv1a64 stays the
+// small byte-at-a-time hash for WAL checksums and hash tables.
 #pragma once
 
 #include <cstdint>

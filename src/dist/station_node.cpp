@@ -610,18 +610,16 @@ Status StationNode::send_chunk(std::uint64_t transfer_id, const Transfer& t,
     return {Errc::invalid_argument, "chunk key out of range"};
   }
   const BlobRef& b = t.manifest.blobs[ordinal];
-  auto payload = store_->blobs().chunk_payload(b.digest, index, t.chunk_bytes);
-  if (!payload) return payload.status();
+  auto chunk = store_->blobs().chunk_payload(b.digest, index, t.chunk_bytes);
+  if (!chunk) return chunk.status();
   net::ChunkData d;
   d.transfer_id = transfer_id;
   d.digest = b.digest;
   d.index = index;
   d.chunk_len = blob::chunk_size_at(b.size, index, t.chunk_bytes);
-  d.has_payload = !payload.value().empty();
-  d.chunk_digest = d.has_payload
-                       ? blob::real_chunk_digest(payload.value())
-                       : blob::synthetic_chunk_digest(b.digest, index);
-  if (d.has_payload) d.payload = std::move(payload).value();
+  d.has_payload = !chunk.value().payload.empty();
+  d.chunk_digest = chunk.value().digest;  // kept with the stored chunk
+  if (d.has_payload) d.payload = std::move(chunk.value().payload);
   net::Message out;
   out.from = self_;
   out.to = to;
@@ -756,23 +754,21 @@ void StationNode::on_chunk_req(const net::Message& msg) {
   auto& dm = DistMetrics::get();
   std::uint32_t served = 0;
   for (std::uint32_t index : q.indices) {
-    auto payload = store_->blobs().chunk_payload(q.digest, index, q.chunk_bytes);
-    if (!payload) continue;  // not held here — the requester walks further up
+    auto chunk = store_->blobs().chunk_payload(q.digest, index, q.chunk_bytes);
+    if (!chunk) continue;  // not held here — the requester walks further up
+    blob::BlobStore::ChunkSlice& slice = chunk.value();
     const std::uint32_t chunk_len =
-        payload.value().empty()
-            ? blob::chunk_size_at(q.size, index, q.chunk_bytes)
-            : static_cast<std::uint32_t>(payload.value().size());
+        slice.payload.empty() ? blob::chunk_size_at(q.size, index, q.chunk_bytes)
+                              : static_cast<std::uint32_t>(slice.payload.size());
     if (chunk_len == 0) continue;
     net::ChunkData d;
     d.transfer_id = 0;  // not part of a push transfer: no relay downstream
     d.digest = q.digest;
     d.index = index;
     d.chunk_len = chunk_len;
-    d.has_payload = !payload.value().empty();
-    d.chunk_digest = d.has_payload
-                         ? blob::real_chunk_digest(payload.value())
-                         : blob::synthetic_chunk_digest(q.digest, index);
-    if (d.has_payload) d.payload = std::move(payload).value();
+    d.has_payload = !slice.payload.empty();
+    d.chunk_digest = slice.digest;  // kept with the stored chunk
+    if (d.has_payload) d.payload = std::move(slice.payload);
     net::Message out;
     out.from = self_;
     out.to = msg.from;

@@ -1,7 +1,5 @@
 #include "storage/txn.hpp"
 
-#include <algorithm>
-
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
@@ -99,7 +97,9 @@ class TransactionManager::UndoSink final : public MutationSink {
   void on_mutation(const Mutation& m) override {
     {
       std::lock_guard<std::mutex> g(mgr_->mu_);
-      mgr_->txns_[id_.value()].undo.push_back(m);
+      auto it = mgr_->txns_.find(id_.value());
+      WDOC_CHECK(it != mgr_->txns_.end(), "mutation on finished txn");
+      it->second.undo.push_back(m);
     }
     LogRecord rec;
     switch (m.kind) {
@@ -129,7 +129,7 @@ TransactionManager::~TransactionManager() = default;
 std::unique_ptr<Txn> TransactionManager::begin() {
   std::lock_guard<std::mutex> g(mu_);
   TxnId id = ids_.next();
-  txns_[id.value()] = TxnState{};
+  txns_.emplace(id.value(), TxnState{});
   TxnMetrics::get().begins.inc();
   LogRecord rec;
   rec.kind = LogKind::begin;
@@ -141,9 +141,7 @@ std::unique_ptr<Txn> TransactionManager::begin() {
 
 std::size_t TransactionManager::active_txns() const {
   std::lock_guard<std::mutex> g(mu_);
-  return static_cast<std::size_t>(
-      std::count_if(txns_.begin(), txns_.end(),
-                    [](const auto& kv) { return kv.second.active; }));
+  return txns_.size();
 }
 
 std::size_t TransactionManager::held_locks(TxnId id) const {
@@ -187,8 +185,7 @@ bool TransactionManager::would_deadlock(std::uint64_t waiter, const ResourceKey&
 
 Status TransactionManager::acquire(TxnId txn, const ResourceKey& key, TxnLockMode mode) {
   std::unique_lock<std::mutex> g(mu_);
-  auto& state = txns_[txn.value()];
-  WDOC_CHECK(state.active, "acquire on finished txn");
+  WDOC_CHECK(txns_.contains(txn.value()), "acquire on finished txn");
 
   TxnLockMode target = mode;
   if (auto lit = locks_.find(key); lit != locks_.end()) {
@@ -248,7 +245,9 @@ Status TransactionManager::acquire(TxnId txn, const ResourceKey& key, TxnLockMod
     }
   }
   locks_[key].holders[txn.value()] = target;
-  state.held.insert(key);
+  // Looked up after the wait, like the lock entry: only this transaction's
+  // own commit or abort erases its state.
+  txns_.at(txn.value()).held.insert(key);
   return Status::ok();
 }
 
@@ -262,8 +261,7 @@ void TransactionManager::release_all(TxnId txn) {
     lit->second.holders.erase(txn.value());
     if (lit->second.holders.empty()) locks_.erase(lit);
   }
-  it->second.held.clear();
-  it->second.active = false;
+  txns_.erase(it);
   cv_.notify_all();
 }
 
@@ -292,10 +290,7 @@ Status TransactionManager::finish_commit(Txn& txn) {
   // Auto-checkpoint only when this is the sole active transaction: a
   // snapshot must not capture other transactions' uncommitted writes.
   // Holding mu_ keeps new transactions from beginning mid-snapshot.
-  std::size_t active = static_cast<std::size_t>(
-      std::count_if(txns_.begin(), txns_.end(),
-                    [](const auto& kv) { return kv.second.active; }));
-  if (active == 1) WDOC_TRY(db_.maybe_checkpoint());
+  if (txns_.size() == 1) WDOC_TRY(db_.maybe_checkpoint());
   release_all(txn.id());
   TxnMetrics::get().commits.inc();
   return Status::ok();
@@ -305,7 +300,8 @@ void TransactionManager::finish_abort(Txn& txn) {
   std::vector<Mutation> undo;
   {
     std::lock_guard<std::mutex> g(mu_);
-    undo = std::move(txns_[txn.id().value()].undo);
+    auto it = txns_.find(txn.id().value());
+    if (it != txns_.end()) undo = std::move(it->second.undo);
   }
   // Roll back through Table directly: constraint checks already passed for
   // the before-images, and FK cascades must not re-fire during undo.

@@ -72,7 +72,9 @@ class TransactionManager {
 
   [[nodiscard]] std::unique_ptr<Txn> begin();
 
-  // Introspection for tests.
+  // Introspection for tests. A transaction's state lives exactly as long as
+  // it is active (commit and abort erase it), so this is also the number of
+  // transactions the manager tracks.
   [[nodiscard]] std::size_t active_txns() const;
   [[nodiscard]] std::size_t held_locks(TxnId id) const;
   [[nodiscard]] std::uint64_t deadlocks_detected() const { return deadlocks_; }
@@ -90,10 +92,10 @@ class TransactionManager {
     std::map<std::uint64_t, TxnLockMode> holders;  // txn id -> strongest mode
   };
 
+  // Present in txns_ only while the transaction is active.
   struct TxnState {
     std::set<ResourceKey> held;
     std::vector<Mutation> undo;
-    bool active = true;
   };
 
   class UndoSink;
@@ -120,7 +122,7 @@ class TransactionManager {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<ResourceKey, LockState> locks_;
-  std::map<std::uint64_t, TxnState> txns_;
+  std::map<std::uint64_t, TxnState> txns_;  // active transactions only
   // waiter txn -> resource it is blocked on (single outstanding wait each)
   std::map<std::uint64_t, std::pair<ResourceKey, TxnLockMode>> waiting_;
   IdAllocator<TxnId> ids_;

@@ -165,6 +165,67 @@ TEST(BlobStore, ReleaseAfterGcReportsNotFound) {
   EXPECT_EQ(store.release(id).code(), Errc::not_found);
 }
 
+// --- chunk digests kept with the stored chunk --------------------------------
+
+Bytes chunky_payload(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<std::uint8_t>(i * 2654435761u >> 13);
+  return b;
+}
+
+// Checks every chunk `store` serves for `digest` at `chunk_bytes`: the
+// digest travelling with the slice is the digest of the slice itself.
+void expect_served_digests_match(BlobStore& store, const Digest128& digest, std::uint64_t size,
+                                 std::uint32_t chunk_bytes, const char* what) {
+  for (std::uint32_t i = 0; i < chunk_count(size, chunk_bytes); ++i) {
+    auto chunk = store.chunk_payload(digest, i, chunk_bytes);
+    ASSERT_TRUE(chunk.is_ok()) << what << " chunk " << i;
+    EXPECT_EQ(chunk.value().payload.size(), chunk_size_at(size, i, chunk_bytes));
+    EXPECT_EQ(chunk.value().digest, real_chunk_digest(chunk.value().payload))
+        << what << " chunk " << i << " at " << chunk_bytes;
+  }
+}
+
+TEST(BlobStore, ServedChunkDigestMatchesSlice) {
+  // 10,500 bytes: a ragged last chunk at both chunk sizes.
+  const Bytes payload = chunky_payload(10'500);
+  const Digest128 digest = digest128(std::span<const std::uint8_t>(payload));
+  for (std::uint32_t chunk_bytes : {1000u, 4096u}) {
+    const std::uint32_t other = chunk_bytes == 1000u ? 4096u : 1000u;
+    // Stored whole by put: digests are hashed on first serve, once.
+    BlobStore source;
+    ASSERT_TRUE(source.put(payload, MediaType::video).is_ok());
+    EXPECT_EQ(source.digest_bytes(), payload.size());
+    expect_served_digests_match(source, digest, payload.size(), chunk_bytes, "put");
+    EXPECT_EQ(source.digest_bytes(), 2 * payload.size());
+    expect_served_digests_match(source, digest, payload.size(), chunk_bytes, "put again");
+    EXPECT_EQ(source.digest_bytes(), 2 * payload.size()) << "a second serve re-hashed";
+
+    // A partial mid-assembly serves the digests it verified on receipt.
+    BlobStore relay;
+    ASSERT_TRUE(relay.begin_partial(digest, payload.size(), MediaType::video, chunk_bytes)
+                    .is_ok());
+    const std::uint32_t total = chunk_count(payload.size(), chunk_bytes);
+    for (std::uint32_t i = 0; i + 1 < total; ++i) {
+      auto chunk = source.chunk_payload(digest, i, chunk_bytes).expect("serve");
+      ASSERT_TRUE(relay.add_chunk(digest, i, chunk.digest, chunk.payload).is_ok());
+      auto held = relay.chunk_payload(digest, i, chunk_bytes).expect("relay serve");
+      EXPECT_EQ(held.digest, real_chunk_digest(held.payload)) << "partial chunk " << i;
+    }
+    auto last = source.chunk_payload(digest, total - 1, chunk_bytes).expect("serve");
+    ASSERT_EQ(relay.add_chunk(digest, total - 1, last.digest, last.payload).value(),
+              BlobStore::ChunkAdd::completed);
+    // Promoted: the verified digests moved into the complete entry.
+    const std::uint64_t hashed = relay.digest_bytes();
+    EXPECT_EQ(hashed, 2 * payload.size());  // chunk checks plus the blob gate
+    expect_served_digests_match(relay, digest, payload.size(), chunk_bytes, "promoted");
+    EXPECT_EQ(relay.digest_bytes(), hashed) << "serving a promoted blob re-hashed";
+    // Asked at another chunk size, the promoted blob hashes its new chunks.
+    expect_served_digests_match(relay, digest, payload.size(), other, "promoted, resized");
+    EXPECT_EQ(relay.digest_bytes(), hashed + payload.size());
+  }
+}
+
 // --- disk persistence -------------------------------------------------------
 
 class DiskBlobStore : public ::testing::Test {
@@ -238,6 +299,43 @@ TEST_F(DiskBlobStore, DedupAcrossReopen) {
   ASSERT_TRUE(reopened->put(bytes_of("shared clip"), MediaType::audio).is_ok());
   EXPECT_EQ(reopened->stored_bytes(), before);
   EXPECT_EQ(reopened->blob_count(), 1u);
+}
+
+TEST_F(DiskBlobStore, CorruptedBlobFileIsRejectedByTheReceiver) {
+  // Three chunks; the blob file is damaged on disk after it was stored.
+  constexpr std::uint32_t kChunk = 1024;
+  const Bytes payload = chunky_payload(3000);
+  const Digest128 digest = digest128(std::span<const std::uint8_t>(payload));
+  {
+    auto store = BlobStore::open(dir_).expect("open");
+    ASSERT_TRUE(store->put(payload, MediaType::video).is_ok());
+  }
+  const std::string path = dir_ + "/" + digest.to_hex() + ".blob";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, kChunk + 17, SEEK_SET), 0);
+    const int byte = std::fgetc(f);
+    ASSERT_NE(byte, EOF);
+    ASSERT_EQ(std::fseek(f, kChunk + 17, SEEK_SET), 0);
+    ASSERT_NE(std::fputc(byte ^ 0x40, f), EOF);
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+  // The reopened store faults the damaged file in and serves from it.
+  auto sender = BlobStore::open(dir_).expect("reopen");
+  BlobStore receiver;
+  ASSERT_TRUE(receiver.begin_partial(digest, payload.size(), MediaType::video, kChunk).is_ok());
+  Result<BlobStore::ChunkAdd> last = BlobStore::ChunkAdd::accepted;
+  for (std::uint32_t i = 0; i < chunk_count(payload.size(), kChunk); ++i) {
+    auto chunk = sender->chunk_payload(digest, i, kChunk).expect("serve");
+    last = receiver.add_chunk(digest, i, chunk.digest, chunk.payload);
+  }
+  // The damaged chunk's digest was first hashed from the damaged file, so
+  // it passes the chunk check; the receiver's whole-blob gate at promotion
+  // is what refuses the bytes under that address.
+  EXPECT_EQ(last.code(), Errc::corrupt);
+  EXPECT_FALSE(receiver.find(digest).has_value());
+  EXPECT_EQ(receiver.missing_chunks(digest, 8).size(), 3u);
 }
 
 TEST_F(DiskBlobStore, ForeignFilesIgnored) {

@@ -13,6 +13,7 @@
 
 #include "dist/station_node.hpp"
 #include "net/sim_network.hpp"
+#include "obs/metrics.hpp"
 
 namespace wdoc::dist {
 namespace {
@@ -135,10 +136,24 @@ TEST(ChunkPipeline, RealPayloadRelayIsZeroCopy) {
   auto id = c.store(0).blobs().put(video, blob::MediaType::video).expect("put");
   (void)c.store(0).blobs().release(id);
 
+  ASSERT_EQ(c.store(0).blobs().digest_bytes(), video.size());  // the put
+
+  auto& digest_counter = obs::MetricsRegistry::global().counter("blob.digest_bytes");
+  const std::uint64_t hashed_before = digest_counter.value();
   const std::uint64_t copied_before = net::Payload::bytes_copied_total();
   ASSERT_TRUE(c.node(0).broadcast_push(doc).is_ok());
   c.net().run();
   const std::uint64_t copied = net::Payload::bytes_copied_total() - copied_before;
+
+  // Hashing happens where bytes are checked, never on send: each receiving
+  // station hashes every byte exactly twice (its chunk check plus the
+  // whole-blob gate at promotion), however many children it relays to.
+  // The root hashed the blob once at put and each chunk once on first
+  // serve, though it sends every chunk to two children.
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    EXPECT_EQ(c.store(i).blobs().digest_bytes(), 2 * video.size()) << "station " << i;
+  }
+  EXPECT_EQ(digest_counter.value() - hashed_before, (2 * c.size() - 1) * video.size());
 
   // Every station holds the real, digest-verified bytes...
   for (std::size_t i = 0; i < c.size(); ++i) {

@@ -2,6 +2,7 @@
 // serialization, hashing, RNG, Zipf sampling and simulated time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -192,6 +193,88 @@ TEST(Hash, NoTrivialCollisionsAcrossSmallCorpus) {
     seen.insert(digest128("doc-" + std::to_string(i)));
   }
   EXPECT_EQ(seen.size(), 10000u);
+}
+
+// Deterministic, non-repeating test input: byte i of a length-n buffer.
+Bytes digest_input(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<std::uint8_t>((i * 131 + 7) ^ (i >> 8));
+  }
+  return b;
+}
+
+TEST(Hash, Digest128KnownAnswers) {
+  // Pins the content address: every blob file name and manifest digest is
+  // one of these values, so a change here is an on-disk format change.
+  const std::map<std::size_t, std::string> want = {
+      {0, "b624cd8720dcfcd5ef46db3751d8e999"},
+      {1, "c2fe17ce20a35c59a96c7f0ce858bbb7"},
+      {7, "060378d92005e9b52744460dd675d2c0"},
+      {8, "4e49895a65da0a36994b676b71ce94dd"},
+      {31, "afe2b20777d8def36711d55e306b5d8f"},
+      {63, "849fc61e027bd6bb7c7c971b7fa4f684"},
+      {64, "1e59d36d4ab91201bcb0bceb17a04564"},
+      {65, "b16f7ff3bf9b1e6832b389c45c37aa67"},
+      {1000, "648e8aebd1b4b205d94481cd498772db"},
+      {256u << 10, "5b5455d9338c526f31b292a9c906c686"},
+  };
+  for (const auto& [n, hex] : want) {
+    EXPECT_EQ(digest128(std::span<const std::uint8_t>(digest_input(n))).to_hex(), hex)
+        << "length " << n;
+  }
+  // Below 32 bytes the low word runs exactly XXH64's short-input path with
+  // seed 0, so the published XXH64 values cross-check it.
+  EXPECT_EQ(digest128("").lo, 0xef46db3751d8e999ULL);
+  EXPECT_EQ(digest128("a").lo, 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(digest128("abc").lo, 0x44bc2cf5ad770999ULL);
+}
+
+TEST(Hash, Digest128IgnoresSourceAlignment) {
+  const Bytes src = digest_input(200 + 8);
+  for (std::size_t n = 0; n <= 200; ++n) {
+    const Bytes aligned(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(n));
+    const Digest128 want = digest128(std::span<const std::uint8_t>(aligned));
+    // The same n bytes placed at every offset within one word.
+    for (std::size_t off = 0; off < 8; ++off) {
+      Bytes shifted(n + off);
+      std::copy(aligned.begin(), aligned.end(), shifted.begin() + static_cast<std::ptrdiff_t>(off));
+      EXPECT_EQ(digest128(std::span<const std::uint8_t>(shifted).subspan(off)), want)
+          << "length " << n << " offset " << off;
+    }
+  }
+}
+
+TEST(Hash, Digest128EveryBitFlipChangesBothWords) {
+  const Bytes base = digest_input(200);
+  const Digest128 d0 = digest128(std::span<const std::uint8_t>(base));
+  for (std::size_t bit = 0; bit < base.size() * 8; ++bit) {
+    Bytes flipped = base;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    const Digest128 d = digest128(std::span<const std::uint8_t>(flipped));
+    EXPECT_NE(d.lo, d0.lo) << "bit " << bit;
+    EXPECT_NE(d.hi, d0.hi) << "bit " << bit;
+  }
+}
+
+TEST(Hash, Digest128NoCollisionsInEitherWord) {
+  // 10^5 seeded inputs of mixed lengths (short strings up to multi-stripe
+  // buffers): each 64-bit word on its own must stay collision-free.
+  Rng rng(0x5eed);
+  std::set<std::uint64_t> lo;
+  std::set<std::uint64_t> hi;
+  constexpr int kInputs = 100000;
+  for (int i = 0; i < kInputs; ++i) {
+    Bytes b(rng.uniform(160));
+    for (auto& byte : b) byte = static_cast<std::uint8_t>(rng.next_u64());
+    // The index keeps inputs distinct even when the random bytes repeat.
+    for (int k = 0; k < 4; ++k) b.push_back(static_cast<std::uint8_t>(i >> (8 * k)));
+    const Digest128 d = digest128(std::span<const std::uint8_t>(b));
+    lo.insert(d.lo);
+    hi.insert(d.hi);
+  }
+  EXPECT_EQ(lo.size(), static_cast<std::size_t>(kInputs));
+  EXPECT_EQ(hi.size(), static_cast<std::size_t>(kInputs));
 }
 
 // --- RNG -------------------------------------------------------------------------

@@ -306,6 +306,34 @@ TEST_F(TxnFixture, LocksReleasedAfterCommit) {
   EXPECT_EQ(mgr_.held_locks(id), 0u);
 }
 
+TEST_F(TxnFixture, FinishedTransactionsAreForgotten) {
+  // A long-lived manager must not keep state for every transaction it ever
+  // ran: commit and abort each erase the transaction's entry.
+  for (int i = 0; i < 10000; ++i) {
+    auto txn = mgr_.begin();
+    RowId from = i % 2 == 0 ? a_ : b_;
+    RowId to = from == a_ ? b_ : a_;
+    auto fr = txn->get("accounts", from);
+    auto tr = txn->get("accounts", to);
+    ASSERT_TRUE(fr.is_ok() && tr.is_ok());
+    ASSERT_TRUE(txn->update_column("accounts", from, "balance",
+                                   Value(fr.value()[1].as_int() - 1))
+                    .is_ok());
+    ASSERT_TRUE(txn->update_column("accounts", to, "balance",
+                                   Value(tr.value()[1].as_int() + 1))
+                    .is_ok());
+    if (i % 4 < 2) {
+      ASSERT_TRUE(txn->commit().is_ok());
+    } else {
+      txn->abort();
+    }
+    EXPECT_EQ(mgr_.held_locks(txn->id()), 0u);
+  }
+  EXPECT_EQ(mgr_.active_txns(), 0u);
+  const Table* t = db_->catalog().table("accounts");
+  EXPECT_EQ(t->cell(a_, "balance").as_int() + t->cell(b_, "balance").as_int(), 150);
+}
+
 TEST_F(TxnFixture, UniqueViolationInsideTxnSurfacesCleanly) {
   auto txn = mgr_.begin();
   auto dup = txn->insert("accounts", {Value("alice"), Value(1)});
